@@ -117,10 +117,10 @@ void PrintTuneStats(const char* label, double default_ms,
               r.evaluated.size(), r.pruned, r.infeasible);
 }
 
-// Autotuned TileLink on one shape: search the §3.1 design space with
-// successive halving (coarse simulation round, survivors re-run at full
-// fidelity) plus the overlap-aware lower bounds, and compare against the
-// hand-picked default config. Returns false (regression) when the tuned
+// Autotuned TileLink on one shape: search the §3.1 design space with the
+// family's Tune* (coarse rungs picked from the shape, survivors re-run at
+// full fidelity) plus the overlap-aware lower bounds, and compare against
+// the hand-picked default config. Returns false (regression) when the tuned
 // config loses to the default. Also reruns each search with only the
 // overlap-aware bound (no communication-optimal floors) to report how many
 // extra candidates the floors prune.
@@ -147,10 +147,10 @@ bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
                                            tl::TuningSpace::Mlp(), rs_base);
   PrintTuneStats("GEMM+RS", rs_default_ms, rs);
 
-  // Floor ablation: the same searches WITHOUT coarse halving (so the bound
-  // prunes the whole enumerated space), composed bound vs the pre-floor
-  // overlap bound alone. The delta in pruned counts is the work the
-  // communication-optimal floors save.
+  // Floor ablation: the same searches with an empty schedule (no coarse
+  // rungs, so the bound prunes the whole enumerated space), composed bound
+  // vs the pre-floor overlap bound alone. The delta in pruned counts is the
+  // work the communication-optimal floors save.
   const tl::Autotuner tuner;
   const tl::TuneResult ag_f = tuner.Search(
       tl::TuningSpace::Mlp(), ag_base,
@@ -186,7 +186,7 @@ bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
       });
   const int ag_extra = ag_f.pruned - ag_nf.pruned;
   const int rs_extra = rs_f.pruned - rs_nf.pruned;
-  std::printf("comm-optimal floors (no-halving ablation): AG+GEMM pruned "
+  std::printf("comm-optimal floors (no-rung ablation): AG+GEMM pruned "
               "%d/%d (overlap bound alone %d, %+d), GEMM+RS pruned %d/%d "
               "(overlap bound alone %d, %+d)\n",
               ag_f.pruned, ag_f.pruned + static_cast<int>(ag_f.evaluated.size()),
@@ -205,7 +205,7 @@ bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
   const bool ok = static_cast<double>(ag.best_cost) / 1e6 <= ag_default_ms &&
                   static_cast<double>(rs.best_cost) / 1e6 <= rs_default_ms;
   std::printf("tuned <= default: %s\n", ok ? "YES" : "NO (regression!)");
-  // The halving/bound machinery must actually skip work at this scale
+  // The rung/bound machinery must actually skip work at this scale
   // (the naive additive bounds pruned 0/70 here).
   const int skipped = ag.halved + ag.pruned + rs.halved + rs.pruned;
   std::printf("candidates skipped without a full-fidelity run: %d\n", skipped);

@@ -1,12 +1,13 @@
 // Serving-scale bench: continuous batching over a mixed prefill/decode
 // request trace, one replica per model, with every TileLink config obtained
-// online from the config service (serving/config_service.h) using laddered
-// multi-fidelity cold tunes.
+// online from the config service (serving/config_service.h); cold tunes
+// run each kernel family's Tune*, which ladders on shapes large enough to
+// shrink.
 //
 // Three phases, all gated:
 //
 //  1. Cold replica: a fresh estimator attached to an empty service runs the
-//     whole trace — every unseen bucketed shape pays a laddered cold tune.
+//     whole trace — every unseen bucketed shape pays a cold tune.
 //     Gates: p99 request latency under budget, worst single cold-tune wall
 //     time under budget, tuned-vs-seed geomean speedup >= 1.
 //  2. Warm replica: a second fresh estimator attached to the *same* service
@@ -19,9 +20,9 @@
 //     bitwise-identical cache contents (ToJson).
 //
 // Ladder efficiency gate: for every MLP shape the serving run actually
-// tuned (parsed back out of the cache keys), the laddered search is
+// tuned (parsed back out of the cache keys), TuneAgGemm/TuneGemmRs is
 // re-run against an exhaustive full-fidelity sweep of the same space —
-// the ladder must spend <= 25% of the exhaustive full-fidelity
+// the scheduled search must spend <= 25% of the exhaustive full-fidelity
 // simulations in aggregate while matching the exhaustive argmin cost on
 // every shape.
 //
@@ -119,9 +120,9 @@ int main(int argc, char** argv) {
   const serving::ServingOptions opts = MakeOptions(num_requests);
   bool ok = true;
 
-  // Phase 1: cold replica — every unseen shape pays a laddered cold tune.
+  // Phase 1: cold replica — every unseen shape pays a cold tune.
   serving::ConfigService service(
-      serving::ConfigService::Options{0, tune_threads, /*laddered=*/true});
+      serving::ConfigService::Options{0, tune_threads});
   models::E2eEstimator cold(kTp, /*batch=*/1, /*seq=*/1, /*two_node=*/false);
   service.Attach(&cold);
   auto t0 = std::chrono::steady_clock::now();
@@ -174,7 +175,7 @@ int main(int argc, char** argv) {
 
   // Phase 3: independent same-seed run — bitwise trace + cache equality.
   serving::ConfigService service2(
-      serving::ConfigService::Options{0, tune_threads, /*laddered=*/true});
+      serving::ConfigService::Options{0, tune_threads});
   models::E2eEstimator rerun(kTp, /*batch=*/1, /*seq=*/1, /*two_node=*/false);
   service2.Attach(&rerun);
   const serving::ServingResult res2 = serving::RunServing(opts, &rerun);
@@ -185,8 +186,9 @@ int main(int argc, char** argv) {
               deterministic ? "IDENTICAL (bitwise)" : "DIVERGED");
   ok = ok && deterministic;
 
-  // Ladder efficiency: rebuild every MLP search the run paid for, laddered
-  // vs exhaustive, counting full-fidelity simulator invocations directly.
+  // Ladder efficiency: rebuild every MLP search the run paid for, the
+  // family's Tune* vs exhaustive, counting full-fidelity simulator
+  // invocations directly.
   const sim::MachineSpec spec = [] {
     sim::MachineSpec s = sim::MachineSpec::H800x8();
     s.num_devices = kTp;
@@ -210,25 +212,18 @@ int main(int argc, char** argv) {
           return is_ag ? tl::SimulateAgGemm(spec, ks.shape, c)
                        : tl::SimulateGemmRs(spec, ks.shape, c);
         });
-    const tl::TuneResult ladder = tuner.SearchLaddered(
-        space, seed,
-        [&](const tl::TuneCandidate& c, int denom) {
-          return is_ag ? tl::FidelitySimulateAgGemm(spec, ks.shape, c, denom)
-                       : tl::FidelitySimulateGemmRs(spec, ks.shape, c, denom);
-        },
-        [&](const tl::TuneCandidate& c) {
-          return is_ag ? tl::AgGemmLowerBound(spec, ks.shape, c)
-                       : tl::GemmRsLowerBound(spec, ks.shape, c);
-        });
+    const tl::TuneResult ladder =
+        is_ag ? tl::TuneAgGemm(spec, ks.shape, space, seed, tuner)
+              : tl::TuneGemmRs(spec, ks.shape, space, seed, tuner);
     // Full-fidelity *feasible* simulations, from the deterministic serial
     // replay (infeasible candidates are rejected by a divisibility
     // pre-check before any DES run, so they cost nothing on either side).
     // These counts are bitwise thread-count-invariant, unlike raw
     // evaluator-call tallies, which would include the parallel pass's
-    // timing-dependent speculation. The ladder's final rung serves the
-    // seed's cost from the anchor's memo, so the seed's row in `evaluated`
-    // already accounts for the anchor sim; only when the bound pruned the
-    // seed row does the anchor need counting separately.
+    // timing-dependent speculation. A scheduled search's full-fidelity
+    // pass serves the seed's cost from the anchor's memo, so the seed's row
+    // in `evaluated` already accounts for the anchor sim; only when the
+    // bound pruned the seed row does the anchor need counting separately.
     const int64_t ex_evals = static_cast<int64_t>(exhaustive.evaluated.size());
     int64_t lad_full = static_cast<int64_t>(ladder.evaluated.size());
     if (!ladder.evaluated_per_rung.empty()) {
@@ -320,7 +315,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (!argmin_match || ladder_frac > kMaxLadderFrac) {
-    std::printf("\nFAIL: laddered tuning missed its efficiency/argmin "
+    std::printf("\nFAIL: scheduled tuning missed its efficiency/argmin "
                 "contract (%.1f%% of exhaustive, argmin %s).\n",
                 100.0 * ladder_frac, argmin_match ? "matched" : "missed");
     ok = false;

@@ -2,14 +2,17 @@
 # CI: tier-1 verify plus the tuned-bench smoke stages.
 #   1. RelWithDebInfo, -Wall -Wextra -Werror (warnings are errors)
 #   2. Debug + AddressSanitizer
-#   3. Debug + ThreadSanitizer: the parallel-search determinism tests —
-#      including the shared read-only FaultPlan retry-path search — and
-#      the tuned-config-cache stress run with real data races reported as
-#      errors (the sharded autotuner and the concurrent cache are the only
-#      multi-threaded code paths).
+#   3. Debug + ThreadSanitizer, with real data races reported as errors:
+#      test_tuning (the parallel-search determinism tests — including the
+#      shared read-only FaultPlan retry-path search — and the
+#      tuned-config-cache stress run), plus test_serving and
+#      test_models_e2e, whose tuned estimators run sharded cold tunes
+#      through ConfigService and the estimator's mutex'd memo. The sharded
+#      autotuner, the concurrent cache and the estimator memo are the only
+#      multi-threaded code paths.
 #   4. Bench smoke: the autotuned fig8/fig11 benches (each exits nonzero if
 #      any tuned config loses to its hand-picked default, fig8 also if the
-#      halving/bound machinery stops skipping candidates, and fig11 also if
+#      rung/bound machinery stops skipping candidates, and fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
 #      the simulator microbenchmarks. fig11 also gates the parallel-tuning
 #      identity: the cold sweep at --tune-threads 8 must reproduce the
@@ -35,7 +38,7 @@
 #      off. The stage then checks the fabric.* keys landed in the JSON
 #      report and that the saved trace file is non-trivial.
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
-#      request trace through per-model replicas with laddered cold tuning
+#      request trace through per-model replicas with scheduled cold tuning
 #      behind the online config service — it self-gates p99/cold-tune
 #      latency bounds, the cold+warm hit rate, tuned >= seed, bitwise
 #      same-seed reproducibility (trace + cache), and the ladder's
@@ -66,11 +69,14 @@ if [[ "$FAST" == "0" ]]; then
   (cd build-asan && ASAN_OPTIONS=detect_leaks=1 \
       ctest --output-on-failure --timeout 300 -j"$(nproc)")
 
-  echo "=== [3/6] Debug + TSan (parallel search + concurrent cache) ==="
+  echo "=== [3/6] Debug + TSan (parallel search, cache, config service) ==="
   cmake -B build-tsan -S . -DTILELINK_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
-  cmake --build build-tsan -j --target test_tuning
+  cmake --build build-tsan -j --target test_tuning test_serving \
+      test_models_e2e
   # halt_on_error: a data race fails the stage instead of scrolling past.
-  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/test_tuning
+  for t in test_tuning test_serving test_models_e2e; do
+    TSAN_OPTIONS=halt_on_error=1 "./build-tsan/$t"
+  done
 
   echo "=== [4/6] Bench smoke (tuned configs must beat hand-picked) ==="
   ./build-ci/bench_micro_sim --json build-ci/BENCH_micro_sim.json
@@ -107,7 +113,7 @@ if [[ "$FAST" == "0" ]]; then
   # The bench exits nonzero if any of its own gates fail: fleet p99 and
   # per-unseen-shape cold-tune latency bounds, cache hit rate across a
   # cold+warm replica pair, tuned-vs-seed geomean >= 1, bitwise identical
-  # trace+cache on a same-seed rerun, and the laddered search matching the
+  # trace+cache on a same-seed rerun, and the scheduled search matching the
   # exhaustive argmin on every tuned MLP shape within 25% of its
   # full-fidelity evaluations.
   ./build-ci/bench_serving --requests 24 --tune-threads 8 \

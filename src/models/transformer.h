@@ -96,14 +96,9 @@ class E2eEstimator {
   // yields bitwise-identical tuned configs). The estimator itself is
   // thread-safe once tuning is enabled — the memo map is mutex'd and the
   // cache is internally synchronized — so independent layers/models can be
-  // timed from concurrent threads against one shared cache.
-  // `laddered` switches every cold search to the laddered multi-fidelity
-  // schedule (Tune*Laddered: 1/16 -> 1/4 -> full rungs, seed-anchored,
-  // floor-gated) — the serving path's bounded cold-tune mode. The offline
-  // benches keep the classic halved search (the default) so their cache
-  // contents stay byte-identical to previous releases.
-  void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1,
-                    bool laddered = false);
+  // timed from concurrent threads against one shared cache. Each kernel
+  // family's Tune* picks its own coarse-rung schedule from the shape.
+  void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }
 
   LayerBreakdown LayerTime(const ModelConfig& model, Method method);
@@ -141,7 +136,6 @@ class E2eEstimator {
   int64_t batch_, seq_;
   bool two_node_;
   int tune_threads_ = 1;
-  bool laddered_ = false;
   tl::TunedConfigCache* tuned_cache_ = nullptr;
   std::mutex cache_mu_;  // guards cache_
   std::map<std::string, sim::TimeNs> cache_;

@@ -1,7 +1,8 @@
 // Online config service: the serving-facing facade over TunedConfigCache.
 // A replica attaches its estimator once; after that every cold config
-// lookup runs a laddered multi-fidelity search (bounded cold-tune latency)
-// and every warm lookup is a concurrency-safe cache hit. The service owns
+// lookup runs the kernel family's tuner search (the multi-fidelity ladder
+// on shapes large enough to shrink, which bounds cold-tune latency) and
+// every warm lookup is a concurrency-safe cache hit. The service owns
 // the eviction policy (LRU capacity) and aggregates the operational stats
 // the serving bench gates: hit rate, cold-tune wall time and the geomean
 // speedup of tuned configs over their hand-picked seeds.
@@ -20,7 +21,6 @@ class ConfigService {
   struct Options {
     std::size_t capacity = 0;  // max cached configs (0 = unbounded), LRU
     int tune_threads = 1;      // autotuner workers per cold search
-    bool laddered = true;      // laddered multi-fidelity cold tunes
   };
 
   explicit ConfigService(const Options& opts) : opts_(opts) {
@@ -33,7 +33,7 @@ class ConfigService {
   // Routes every tuned-config lookup of `est` (not owned; must not outlive
   // this service) through the cache with this service's tuning policy.
   void Attach(models::E2eEstimator* est) {
-    est->EnableTuning(&cache_, opts_.tune_threads, opts_.laddered);
+    est->EnableTuning(&cache_, opts_.tune_threads);
   }
 
   struct Snapshot {

@@ -24,9 +24,11 @@ namespace {
 
 // Size-bucketed free lists for coroutine frames (64-byte granularity, frames
 // up to 2 KiB pooled; larger ones fall through to the global allocator).
-// Pooled memory is retained for the thread's lifetime — the simulator spawns
-// millions of short-lived activity frames of only a handful of distinct
-// sizes, so steady state allocates nothing.
+// The simulator spawns millions of short-lived activity frames of only a
+// handful of distinct sizes, so steady state allocates nothing. Pooled
+// memory is returned when the thread exits: the autotuner starts fresh
+// worker threads for every rung, so a pool that outlived its thread would
+// leak every frame it held.
 constexpr std::size_t kFrameGranularity = 64;
 constexpr std::size_t kFrameBuckets = 32;
 
@@ -34,7 +36,26 @@ struct FreeFrame {
   FreeFrame* next;
 };
 
+// Both trivially destructible, so they stay readable while other
+// thread_local destructors run at thread exit.
 thread_local std::array<FreeFrame*, kFrameBuckets> g_frame_pool = {};
+enum class PoolState : unsigned char { kUnregistered, kLive, kGone };
+thread_local PoolState g_pool_state = PoolState::kUnregistered;
+
+// Frees every pooled frame at thread exit; frames released after that go
+// straight back to the global allocator.
+struct PoolReaper {
+  ~PoolReaper() {
+    for (FreeFrame*& head : g_frame_pool) {
+      while (head != nullptr) {
+        FreeFrame* next = head->next;
+        ::operator delete(head);
+        head = next;
+      }
+    }
+    g_pool_state = PoolState::kGone;
+  }
+};
 
 inline std::size_t BucketOf(std::size_t size) {
   return (size + kFrameGranularity - 1) / kFrameGranularity;
@@ -60,7 +81,12 @@ void* FramePoolAlloc(std::size_t size) {
 void FramePoolFree(void* ptr, std::size_t size) noexcept {
 #ifndef TILELINK_FRAME_POOL_DISABLED
   const std::size_t bucket = BucketOf(size);
-  if (bucket < kFrameBuckets) {
+  if (bucket < kFrameBuckets && g_pool_state != PoolState::kGone) {
+    if (g_pool_state == PoolState::kUnregistered) {
+      // First pooled frame on this thread: arm the exit-time reaper.
+      static thread_local PoolReaper reaper;
+      g_pool_state = PoolState::kLive;
+    }
     auto* frame = static_cast<FreeFrame*>(ptr);
     frame->next = g_frame_pool[bucket];
     g_frame_pool[bucket] = frame;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "common/check.h"
 
@@ -62,11 +62,10 @@ void RunWorkers(int threads, const std::function<void()>& body) {
 constexpr sim::TimeNs kPending = -1;  // not finished yet
 constexpr sim::TimeNs kSkipped = -2;  // speculatively pruned by a worker
 
-// Full-fidelity finalist pass shared by Search and SearchLaddered: parallel
-// speculative evaluation + serial replay in finalist order (see the
-// determinism note in the header). Appends to `result`'s evaluated/pruned/
-// infeasible tallies, updates best/best_cost, and records seed_cost when
-// `base` reaches full fidelity.
+// Full-fidelity pass over `finalists`: parallel speculative evaluation +
+// serial replay in finalist order (see the determinism note in the header).
+// Appends to `result`'s evaluated/pruned/infeasible tallies, updates
+// best/best_cost, and records seed_cost when `base` reaches full fidelity.
 void FullFidelityPass(const Autotuner::Options& options, int threads,
                       const std::vector<TuneCandidate>& finalists,
                       const TuneCandidate& base, const Autotuner::EvalFn& eval,
@@ -167,13 +166,30 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
 
 }  // namespace
 
+TuneSchedule Autotuner::Ladder(const FidelityFn& at_fidelity) {
+  TuneSchedule schedule;
+  for (const auto& [denom, keep] : {std::pair{16, 0.5}, std::pair{4, 0.25}}) {
+    schedule.rungs.push_back(
+        {[at_fidelity, denom](const TuneCandidate& c) {
+           return at_fidelity(c, denom);
+         },
+         keep});
+  }
+  schedule.min_space = 16;
+  return schedule;
+}
+
+TuneSchedule Autotuner::OneRung(const EvalFn& coarse) {
+  return TuneSchedule{{{coarse, 0.125}}, 8};
+}
+
 TuneResult Autotuner::Search(const TuningSpace& space,
                              const TuneCandidate& base, const EvalFn& eval,
                              const BoundFn& lower_bound,
-                             const EvalFn& coarse) const {
+                             const TuneSchedule& schedule) const {
   std::vector<TuneCandidate> candidates = space.Enumerate(base);
   TL_CHECK_MSG(!candidates.empty(), "empty tuning space");
-  // The base (seed) config always gets a full-fidelity run: a halved or
+  // The base (seed) config always gets a full-fidelity run: a scheduled or
   // pruned search can then never return something worse than the seed.
   if (std::find(candidates.begin(), candidates.end(), base) ==
       candidates.end()) {
@@ -185,129 +201,36 @@ TuneResult Autotuner::Search(const TuningSpace& space,
   TuneResult result;
   result.best_cost = kInfeasible;
 
-  // --- Successive halving: coarse-score everyone, keep the top fraction. --
-  std::vector<TuneCandidate> finalists;
-  if (coarse && static_cast<int>(candidates.size()) >=
-                    options_.min_coarse_space) {
-    // The coarse round is a pure map (no pruning), so sharding it is
-    // trivially deterministic: workers write cost[i] by candidate index and
-    // the classification below runs serially in index order.
-    std::vector<sim::TimeNs> coarse_cost(candidates.size(), kPending);
-    {
-      std::atomic<std::size_t> next{0};
-      RunWorkers(std::min<int>(threads, static_cast<int>(candidates.size())),
-                 [&] {
-                   for (;;) {
-                     const std::size_t i =
-                         next.fetch_add(1, std::memory_order_relaxed);
-                     if (i >= candidates.size()) return;
-                     coarse_cost[i] = coarse(candidates[i]);
-                   }
-                 });
-    }
-    std::vector<std::pair<sim::TimeNs, std::size_t>> scored;
-    std::vector<std::size_t> unscored;
-    scored.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const sim::TimeNs cost = coarse_cost[i];
-      ++result.coarse_evals;
-      if (cost == kInfeasible) {
-        // A coarse evaluator may judge feasibility on a shrunken problem
-        // whose divisibility constraints are tighter: defer to the
-        // full-fidelity round (a cheap feasibility check there) instead of
-        // dropping a possibly-feasible candidate.
-        unscored.push_back(i);
-        if (options_.verbose) {
-          PrintCandidate("tune/coarse", candidates[i], 0,
-                         "  coarse-infeasible (deferred)");
-        }
-        continue;
-      }
-      scored.emplace_back(cost, i);
-      if (options_.verbose) {
-        PrintCandidate("tune/coarse", candidates[i], cost, "");
-      }
-    }
-    std::stable_sort(scored.begin(), scored.end());
-    const std::size_t keep = std::min<std::size_t>(
-        scored.size(),
-        std::max<std::size_t>(
-            static_cast<std::size_t>(options_.min_survivors),
-            static_cast<std::size_t>(options_.keep_fraction *
-                                         static_cast<double>(scored.size()) +
-                                     0.999)));
-    result.halved = static_cast<int>(scored.size() - keep);
-    finalists.reserve(keep + unscored.size() + 1);
-    // Survivors are in ascending coarse-score order, so the lower bound
-    // starts pruning right after the first (likely-argmin) simulation.
-    for (std::size_t i = 0; i < keep; ++i) {
-      finalists.push_back(candidates[scored[i].second]);
-    }
-    for (std::size_t i : unscored) finalists.push_back(candidates[i]);
-    if (std::find(finalists.begin(), finalists.end(), base) ==
-        finalists.end()) {
-      finalists.push_back(base);
-    }
-  } else {
-    finalists = std::move(candidates);
+  // --- Plain search: every candidate at full fidelity. -------------------
+  if (schedule.rungs.empty() ||
+      static_cast<int>(candidates.size()) < schedule.min_space) {
     if (lower_bound) {
       // Visit in ascending-bound order: the likely argmin is simulated
       // first, which makes the bound prune most of the rest.
       std::vector<std::pair<sim::TimeNs, std::size_t>> order;
-      order.reserve(finalists.size());
-      for (std::size_t i = 0; i < finalists.size(); ++i) {
-        order.emplace_back(lower_bound(finalists[i]), i);
+      order.reserve(candidates.size());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        order.emplace_back(lower_bound(candidates[i]), i);
       }
       std::stable_sort(order.begin(), order.end());
       std::vector<TuneCandidate> sorted;
-      sorted.reserve(finalists.size());
-      for (const auto& [bound, i] : order) sorted.push_back(finalists[i]);
-      finalists = std::move(sorted);
+      sorted.reserve(candidates.size());
+      for (const auto& [bound, i] : order) sorted.push_back(candidates[i]);
+      candidates = std::move(sorted);
     }
+    FullFidelityPass(options_, threads, candidates, base, eval, lower_bound,
+                     &result);
+    TL_CHECK_MSG(result.best_cost != kInfeasible,
+                 "every candidate in the tuning space was infeasible");
+    return result;
   }
-
-  // --- Full-fidelity evaluation with lower-bound pruning. -----------------
-  FullFidelityPass(options_, threads, finalists, base, eval, lower_bound,
-                   &result);
-  TL_CHECK_MSG(result.best_cost != kInfeasible,
-               "every candidate in the tuning space was infeasible");
-  return result;
-}
-
-TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
-                                     const TuneCandidate& base,
-                                     const FidelityEvalFn& eval,
-                                     const BoundFn& lower_bound) const {
-  const std::vector<int>& rungs = options_.ladder_rungs;
-  TL_CHECK_MSG(!rungs.empty() && rungs.back() == 1,
-               "ladder_rungs must end at full fidelity (1)");
-
-  std::vector<TuneCandidate> candidates = space.Enumerate(base);
-  TL_CHECK_MSG(!candidates.empty(), "empty tuning space");
-  if (std::find(candidates.begin(), candidates.end(), base) ==
-      candidates.end()) {
-    candidates.push_back(base);
-  }
-
-  // Small spaces: the coarse rungs would cost more than they save — search
-  // plain (full fidelity, bound pruning, no halving).
-  if (static_cast<int>(candidates.size()) < options_.min_ladder_space) {
-    return Search(
-        space, base, [&eval](const TuneCandidate& c) { return eval(c, 1); },
-        lower_bound, nullptr);
-  }
-
-  const int threads = std::max(1, options_.threads);
-
-  TuneResult result;
-  result.best_cost = kInfeasible;
 
   // Seed anchor: one full-fidelity run up front. Every later stage compares
   // against it, so no rung can promote its way past the seed; the final
   // pass reuses this cost instead of re-simulating the seed.
-  const sim::TimeNs seed_cost = eval(base, 1);
+  const sim::TimeNs seed_cost = eval(base);
   if (options_.verbose && seed_cost != kInfeasible) {
-    PrintCandidate("tune/ladder", base, seed_cost, "  seed anchor");
+    PrintCandidate("tune/rung", base, seed_cost, "  seed anchor");
   }
 
   // Floor gate: a candidate whose communication-optimal lower bound already
@@ -322,7 +245,7 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
       if (options_.verbose) {
         char buf[512];
         std::snprintf(buf, sizeof(buf),
-                      "[tune/ladder] %-53s pruned (floor >= seed)\n",
+                      "[tune/rung] %-55s pruned (floor >= seed)\n",
                       candidates[i].Describe().c_str());
         EmitLine(buf);
       }
@@ -331,12 +254,13 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
     alive.push_back(i);
   }
 
-  // Coarse rungs: score the survivors at 1/denom fidelity, promote the best
-  // by (rung score, lower bound, enumeration index) — the floors order
-  // near-ties, so a fidelity too blunt to separate two candidates still
-  // promotes the one with more communication headroom first.
-  for (std::size_t r = 0; r + 1 < rungs.size(); ++r) {
-    const int denom = rungs[r];
+  // Coarse rungs: score the survivors, promote the best by (rung score,
+  // lower bound, enumeration index) — the floors order near-ties, so a
+  // fidelity too blunt to separate two candidates still promotes the one
+  // with more communication headroom first. Each rung is a pure
+  // index-sharded map; classification and promotion run serially.
+  for (std::size_t r = 0; r < schedule.rungs.size(); ++r) {
+    const TuneRung& rung = schedule.rungs[r];
     std::vector<sim::TimeNs> rung_cost(alive.size(), kPending);
     {
       std::atomic<std::size_t> next{0};
@@ -346,7 +270,7 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
                      const std::size_t i =
                          next.fetch_add(1, std::memory_order_relaxed);
                      if (i >= alive.size()) return;
-                     rung_cost[i] = eval(candidates[alive[i]], denom);
+                     rung_cost[i] = rung.eval(candidates[alive[i]]);
                    }
                  });
     }
@@ -356,8 +280,6 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
     for (std::size_t i = 0; i < alive.size(); ++i) {
       const std::size_t ci = alive[i];
       if (rung_cost[i] == kInfeasible) {
-        // Shrunken problems can have tighter divisibility: defer to the
-        // next rung instead of dropping a possibly-feasible candidate.
         deferred.push_back(ci);
         continue;
       }
@@ -367,20 +289,12 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
     result.coarse_evals += static_cast<int>(scored.size());
     result.evaluated_per_rung.push_back(static_cast<int>(scored.size()));
     std::sort(scored.begin(), scored.end());
-    // Geometric promotion taper: rung i of n keeps fraction^((i+1)/n), so
-    // the cheapest (bluntest) fidelity cuts conservatively and the cut
-    // sharpens to promote_fraction by the last coarse rung. Fixed per-tile
-    // costs do not shrink with the problem, so the coarsest rung's ranking
-    // is the least trustworthy — give it the widest survivor set.
-    const double frac = std::pow(
-        options_.promote_fraction,
-        static_cast<double>(r + 1) / static_cast<double>(rungs.size() - 1));
     const std::size_t keep = std::min<std::size_t>(
         scored.size(),
         std::max<std::size_t>(
-            static_cast<std::size_t>(options_.min_promote),
-            static_cast<std::size_t>(frac * static_cast<double>(scored.size()) +
-                                     0.999)));
+            kMinPromote,
+            static_cast<std::size_t>(
+                rung.keep * static_cast<double>(scored.size()) + 0.999)));
     result.halved += static_cast<int>(scored.size() - keep);
     result.promoted_per_rung.push_back(static_cast<int>(keep));
     std::vector<std::size_t> next_alive;
@@ -388,46 +302,40 @@ TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
     for (std::size_t i = 0; i < keep; ++i) {
       next_alive.push_back(std::get<2>(scored[i]));
     }
-    for (std::size_t ci : deferred) next_alive.push_back(ci);
-    bool has_base = false;
-    for (std::size_t ci : next_alive) {
-      if (candidates[ci] == base) has_base = true;
-    }
-    if (!has_base) {
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (candidates[ci] == base) {
-          next_alive.push_back(ci);
-          break;
-        }
-      }
+    next_alive.insert(next_alive.end(), deferred.begin(), deferred.end());
+    const auto is_base = [&](std::size_t ci) { return candidates[ci] == base; };
+    if (std::none_of(next_alive.begin(), next_alive.end(), is_base)) {
+      next_alive.push_back(static_cast<std::size_t>(
+          std::find(candidates.begin(), candidates.end(), base) -
+          candidates.begin()));
     }
     if (options_.verbose) {
       char buf[256];
       std::snprintf(buf, sizeof(buf),
-                    "[tune/ladder] rung 1/%-3d scored %zu, promoted %zu "
+                    "[tune/rung] rung %zu scored %zu, promoted %zu "
                     "(+%zu deferred)\n",
-                    denom, scored.size(), keep, deferred.size());
+                    r + 1, scored.size(), keep, deferred.size());
       EmitLine(buf);
     }
     alive = std::move(next_alive);
   }
 
-  // Final rung: full fidelity over the promoted set, in ascending last-rung
-  // score order (likely argmin first) with lower-bound pruning. The seed's
-  // anchor run is reused via the memo instead of being paid twice.
+  // Full fidelity over the promoted set, in last-rung score order (likely
+  // argmin first) with lower-bound pruning. The seed's anchor run is reused
+  // instead of being paid twice.
   std::vector<TuneCandidate> finalists;
   finalists.reserve(alive.size());
   for (std::size_t ci : alive) finalists.push_back(candidates[ci]);
   const EvalFn full = [&eval, &base, seed_cost](const TuneCandidate& c) {
     if (c == base && seed_cost != kInfeasible) return seed_cost;
-    return eval(c, 1);
+    return eval(c);
   };
-  const std::size_t full_before = result.evaluated.size();
   FullFidelityPass(options_, threads, finalists, base, full, lower_bound,
                    &result);
+  // Recorded even when the bound pruned the seed's row: the anchor paid it.
+  if (seed_cost != kInfeasible) result.seed_cost = seed_cost;
   result.evaluated_per_rung.push_back(
-      static_cast<int>(result.evaluated.size() - full_before));
-  // The final rung promotes exactly the argmin.
+      static_cast<int>(result.evaluated.size()));
   result.promoted_per_rung.push_back(1);
   TL_CHECK_MSG(result.best_cost != kInfeasible,
                "every candidate in the tuning space was infeasible");

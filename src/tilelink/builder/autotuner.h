@@ -8,22 +8,24 @@
 //  - An analytic lower bound — built from sim::CostModel formulas (the
 //    overlap-aware max(compute, comm) + launch latency), which cost
 //    nanoseconds instead of a full DES run — prunes candidates that cannot
-//    beat the best simulated time found so far. When a bound is supplied,
-//    candidates are visited in ascending-bound order so the likely argmin
-//    is simulated first and the bound prunes the rest.
+//    beat the best simulated time found so far. Candidates reach full
+//    fidelity in ascending-bound (plain) or ascending-rung-score (scheduled)
+//    order, so the likely argmin is simulated first and the bound prunes
+//    the rest.
 //
-//  - A coarse evaluator (same metric on a cheapened simulation — e.g. the
-//    reduction loop collapsed to one k-step) enables successive halving:
-//    every candidate is scored coarsely, only the best keep_fraction
-//    survive to full-fidelity simulation. The base candidate is always
-//    re-evaluated at full fidelity, so a halved search can never return a
-//    config worse than the seed it started from.
+//  - A TuneSchedule of coarse rungs. Each rung scores the surviving
+//    candidates on a cheaper simulation of the same metric (e.g. the
+//    reduction loop collapsed to one k-step, or the problem shrunk to
+//    1/16) and promotes a fixed fraction of them to the next rung. The
+//    seed is anchored at full fidelity before any rung runs and always
+//    rides along, so a scheduled search can never return a config worse
+//    than the seed.
 //
 // Candidates the evaluator rejects as infeasible (by returning kInfeasible)
 // are skipped.
 //
-// Parallel determinism (Options::threads > 1): both the coarse round and
-// the full-fidelity round shard candidates across a pool of worker threads
+// Parallel determinism (Options::threads > 1): every rung and the
+// full-fidelity pass shard candidates across a pool of worker threads
 // pulling indices from a shared atomic counter, one evaluator call per
 // candidate on the worker's own Simulator/World (evaluators build fresh
 // worlds per call, so there is no shared mutable state). Pruning stays
@@ -56,20 +58,37 @@ struct TuneResult {
   // fidelity, in evaluation order.
   std::vector<std::pair<TuneCandidate, sim::TimeNs>> evaluated;
   int pruned = 0;        // skipped via the lower bound
-  int infeasible = 0;    // rejected by the evaluator (either fidelity)
-  int halved = 0;        // eliminated by a coarse round (halving or ladder)
-  int coarse_evals = 0;  // reduced-fidelity scores paid (halving or ladder)
+  int infeasible = 0;    // rejected by the evaluator at full fidelity
+  int halved = 0;        // eliminated by a coarse rung
+  int coarse_evals = 0;  // coarse-rung scores paid
   // Full-fidelity cost of the seed (base) candidate, when the search
-  // evaluated it: SearchLaddered always anchors on it; Search records it
-  // when the seed reaches full fidelity unpruned. 0 = not measured.
+  // evaluated it: a scheduled search always anchors on it; a plain search
+  // records it when the seed reaches full fidelity unpruned. 0 = not
+  // measured.
   sim::TimeNs seed_cost = 0;
-  // SearchLaddered only, one slot per rung (coarsest first): candidates
-  // scored at that rung's fidelity, and candidates promoted out of it by
-  // rank (the final rung's promotion is the argmin, so its slot is 1;
-  // deferred coarse-infeasible candidates ride along unscored and are not
-  // counted as promoted).
+  // Scheduled searches only, one slot per rung (coarsest first) plus one
+  // for the full-fidelity pass: candidates scored at that rung, and
+  // candidates promoted out of it by rank (the full-fidelity slot's
+  // promotion is the argmin, so it is 1; deferred coarse-infeasible
+  // candidates ride along unscored and are not counted as promoted).
   std::vector<int> evaluated_per_rung;
   std::vector<int> promoted_per_rung;
+};
+
+// One coarse rung: scores the surviving candidates with `eval` and
+// promotes the best `keep` fraction of them (at least
+// Autotuner::kMinPromote).
+struct TuneRung {
+  std::function<sim::TimeNs(const TuneCandidate&)> eval;
+  double keep = 1.0;
+};
+
+// Coarse rungs, coarsest first, run before the full-fidelity pass. Spaces
+// smaller than min_space skip the rungs (they would cost more than they
+// save) and search plain; so does an empty schedule.
+struct TuneSchedule {
+  std::vector<TuneRung> rungs;
+  int min_space = 0;
 };
 
 class Autotuner {
@@ -81,12 +100,22 @@ class Autotuner {
 
   using EvalFn = std::function<sim::TimeNs(const TuneCandidate&)>;
   using BoundFn = std::function<sim::TimeNs(const TuneCandidate&)>;
-  // Multi-fidelity evaluator: the same metric on a problem shrunk by
-  // ~1/denom along an axis that scales compute and communication together
-  // (see kernel_tuning.h's FidelitySimulate*). denom == 1 must be exact
-  // full fidelity.
-  using FidelityEvalFn =
-      std::function<sim::TimeNs(const TuneCandidate&, int denom)>;
+  // The same metric on a problem shrunk by ~1/denom along an axis that
+  // scales compute and communication together.
+  using FidelityFn = std::function<sim::TimeNs(const TuneCandidate&, int)>;
+
+  // Every rung promotes at least this many of its scored candidates.
+  static constexpr int kMinPromote = 4;
+
+  // The fidelity ladder: rungs at 1/16 and 1/4 of the problem keeping half
+  // and then a quarter of their scores, for spaces of at least 16. Fixed
+  // per-tile costs do not shrink with the problem, so the coarsest ranking
+  // is the least trustworthy and gets the widest survivor set.
+  static TuneSchedule Ladder(const FidelityFn& at_fidelity);
+  // One rung on a cheapened evaluator (e.g. the reduction loop collapsed to
+  // one k-step) keeping an eighth of its scores, for spaces of at least 8:
+  // the schedule for shapes too small for the ladder to shrink.
+  static TuneSchedule OneRung(const EvalFn& coarse);
 
   struct Options {
     bool verbose = false;  // print one line per candidate to stdout
@@ -94,28 +123,6 @@ class Autotuner {
     // Any value yields a bitwise-identical TuneResult; see the determinism
     // note in the file comment.
     int threads = 1;
-    // Successive halving (active when Search is given a coarse evaluator
-    // and the space has at least min_coarse_space candidates): keep the
-    // best keep_fraction of coarse scores, at least min_survivors.
-    double keep_fraction = 0.125;
-    int min_survivors = 4;
-    int min_coarse_space = 8;
-    // Laddered multi-fidelity schedule (SearchLaddered): fidelity
-    // denominators per rung, coarsest first; the last must be 1 (full
-    // fidelity). The last coarse rung promotes the best promote_fraction of
-    // its scores (at least min_promote); earlier (blunter) rungs taper
-    // geometrically toward it — rung i of n keeps fraction^((i+1)/n), so
-    // e.g. with two coarse rungs and 0.25 the 1/16 rung keeps half and the
-    // 1/4 rung a quarter. Fixed per-tile costs do not shrink with the
-    // problem, so the coarsest ranking is the least trustworthy and gets
-    // the widest survivor set. The seed candidate is promoted
-    // unconditionally, so no rung can regress past the seed.
-    // Spaces smaller than min_ladder_space skip the ladder (the coarse
-    // rungs would cost more than they save) and search plain.
-    std::vector<int> ladder_rungs = {16, 4, 1};
-    double promote_fraction = 0.25;
-    int min_promote = 4;
-    int min_ladder_space = 16;
   };
 
   Autotuner() = default;
@@ -124,32 +131,25 @@ class Autotuner {
   const Options& options() const { return options_; }
 
   // Returns the argmin candidate over space.Enumerate(base) plus the base
-  // itself. `lower_bound` and `coarse` may be null. Requires a non-empty,
+  // itself. `lower_bound` may be null. Requires a non-empty,
   // not-all-infeasible space.
-  TuneResult Search(const TuningSpace& space, const TuneCandidate& base,
-                    const EvalFn& eval, const BoundFn& lower_bound = nullptr,
-                    const EvalFn& coarse = nullptr) const;
-
-  // Laddered multi-fidelity search (the serving-path cold-tune schedule):
+  //
+  // Without rungs (empty schedule or a space below its min_space) this is
+  // the plain search: every candidate at full fidelity in ascending-bound
+  // order with lower-bound pruning. Otherwise:
   //   1. the seed is evaluated once at full fidelity, anchoring the search;
   //      with a lower bound, candidates whose floor already meets or
-  //      exceeds the seed's cost are dropped before any rung runs
-  //      (comm_bounds floors deciding rung admission);
-  //   2. each coarse rung (Options::ladder_rungs, e.g. 1/16 then 1/4)
-  //      scores the survivors at that fidelity and promotes the best
-  //      promote_fraction — ranked by (rung score, lower bound, enumeration
-  //      index) — to the next rung, the seed always riding along;
-  //   3. the final rung runs full fidelity in ascending-bound order with
-  //      lower-bound pruning, exactly like Search's finalist pass.
-  // Candidates a coarse rung rejects as infeasible are deferred to the next
-  // rung unscored (a shrunken problem can have tighter divisibility), like
-  // Search's coarse round. Deterministic and bitwise thread-count-invariant
-  // for the same reasons as Search: coarse rungs are pure index-sharded
-  // maps, promotion and the final replay are serial.
-  TuneResult SearchLaddered(const TuningSpace& space,
-                            const TuneCandidate& base,
-                            const FidelityEvalFn& eval,
-                            const BoundFn& lower_bound = nullptr) const;
+  //      exceeds the seed's cost are dropped before any rung runs;
+  //   2. each rung scores the survivors and promotes its best `keep`
+  //      fraction — ranked by (rung score, lower bound, enumeration index)
+  //      — to the next rung, the seed always riding along; candidates a
+  //      rung rejects as infeasible are deferred to the next rung unscored
+  //      (a shrunken problem can have tighter divisibility);
+  //   3. the promoted set runs at full fidelity in last-rung order with
+  //      lower-bound pruning, reusing the seed's anchor cost.
+  TuneResult Search(const TuningSpace& space, const TuneCandidate& base,
+                    const EvalFn& eval, const BoundFn& lower_bound = nullptr,
+                    const TuneSchedule& schedule = {}) const;
 
  private:
   Options options_{};

@@ -75,17 +75,6 @@ bool MoeRsFeasible(const sim::MachineSpec& spec, const MoeShape& s,
          c.comm_tile_m % c.reduce_block_tokens == 0;
 }
 
-// Collapses the reduction loop to a single k-step: per-tile MMA cost is
-// linear in bk, so the makespan is nearly unchanged while the event count
-// drops by ~k/bk.
-TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
-  TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(
-      std::min<int64_t>(std::max<int64_t>(k, 1),
-                        std::numeric_limits<int>::max()));
-  return coarse;
-}
-
 AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
                               const TuneCandidate& c) {
   AgGemmConfig cfg;
@@ -265,212 +254,6 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
   });
 }
 
-// ---- Coarse evaluators --------------------------------------------------
-
-sim::TimeNs CoarseSimulateAgGemm(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c) {
-  return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
-}
-
-sim::TimeNs CoarseSimulateGemmRs(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c) {
-  return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
-}
-
-namespace {
-
-// Shrinks a sequence extent for the coarse round: a quarter of the full
-// extent, kept divisible by `granularity` (ranks and the largest block
-// size), never below one granule.
-int64_t CoarseSeq(int64_t seq, int64_t granularity) {
-  const int64_t target = seq / 4;
-  const int64_t granules = target / granularity;
-  if (granules < 1) return seq;
-  return granules * granularity;
-}
-
-}  // namespace
-
-sim::TimeNs CoarseSimulateAgAttention(const sim::MachineSpec& spec,
-                                      const AttnShape& shape,
-                                      const TuneCandidate& c) {
-  AttnShape coarse = shape;
-  coarse.seq = CoarseSeq(shape.seq, 2048L * spec.num_devices);
-  return SimulateAgAttention(spec, coarse, c);
-}
-
-sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
-                                    const FlashShape& shape,
-                                    const TuneCandidate& c) {
-  FlashShape coarse = shape;
-  coarse.seq_q = CoarseSeq(shape.seq_q, 2048);
-  coarse.seq_kv = CoarseSeq(shape.seq_kv, 2048);
-  return SimulateFlashCore(spec, coarse, c);
-}
-
-namespace {
-
-// Coarse MoE round: a quarter of the token count (kept divisible by every
-// chunking knob the spaces expose) with a fresh deterministic routing of the
-// same distribution. Token-linear compute, comm and reduce events all shrink
-// together, so the candidate ranking is preserved at ~4x fewer events (on
-// top of the collapsed reduction loop).
-constexpr int64_t kMoeCoarseGranule = 1024;
-constexpr uint64_t kMoeCoarseRoutingSeed = 1234;
-
-MoeShape CoarseMoeShape(const sim::MachineSpec& spec, const MoeShape& shape) {
-  MoeShape coarse = shape;
-  const int64_t granule = kMoeCoarseGranule * spec.num_devices;
-  const int64_t granules = shape.m / 4 / granule;
-  if (granules >= 1) coarse.m = granules * granule;
-  return coarse;
-}
-
-}  // namespace
-
-sim::TimeNs CoarseSimulateAgMoe(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c) {
-  const MoeShape coarse = CoarseMoeShape(spec, shape);
-  if (coarse.m == shape.m) {
-    return SimulateAgMoe(spec, shape, routing,
-                         CoarsenReduction(c, shape.hidden));
-  }
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting coarse_routing = compute::RandomRouting(
-      coarse.m, shape.num_experts, shape.topk, rng);
-  return SimulateAgMoe(spec, coarse, coarse_routing,
-                       CoarsenReduction(c, shape.hidden));
-}
-
-sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c) {
-  const MoeShape coarse = CoarseMoeShape(spec, shape);
-  if (coarse.m == shape.m) {
-    return SimulateMoeRs(spec, shape, routing,
-                         CoarsenReduction(c, shape.inner));
-  }
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting coarse_routing = compute::RandomRouting(
-      coarse.m, shape.num_experts, shape.topk, rng);
-  return SimulateMoeRs(spec, coarse, coarse_routing,
-                       CoarsenReduction(c, shape.inner));
-}
-
-// ---- Multi-fidelity (ladder) evaluators ---------------------------------
-
-namespace {
-
-// Shrinks an extent to ~1/denom, kept a multiple of `granule`; floors at
-// one granule, and returns the full extent when even that would not shrink
-// it (the shape is then too small for this fidelity to save anything).
-int64_t FidelityExtent(int64_t extent, int denom, int64_t granule) {
-  if (denom <= 1) return extent;
-  const int64_t granules = extent / denom / granule;
-  if (granules >= 1) return granules * granule;
-  return extent >= 2 * granule ? granule : extent;
-}
-
-// Fidelity granules: the k/n axes only need the bk/bn quantum; the flash KV
-// axis keeps at least the largest block so every candidate still runs a
-// whole step.
-constexpr int64_t kMlpFidelityGranule = 64;
-constexpr int64_t kFlashFidelityGranule = 1024;
-
-}  // namespace
-
-bool FidelityMlpCanShrink(const MlpPartShape& shape, bool shrink_k,
-                          int denom) {
-  const int64_t extent = shrink_k ? shape.k : shape.n;
-  return FidelityExtent(extent, denom, kMlpFidelityGranule) < extent;
-}
-
-bool FidelityFlashCanShrink(const FlashShape& shape, int denom) {
-  return FidelityExtent(shape.seq_kv, denom, kFlashFidelityGranule) <
-         shape.seq_kv;
-}
-
-bool FidelityAttnCanShrink(const sim::MachineSpec& spec,
-                           const AttnShape& shape, int denom) {
-  return FidelityExtent(shape.seq, denom, 2048L * spec.num_devices) <
-         shape.seq;
-}
-
-bool FidelityMoeCanShrink(const sim::MachineSpec& spec, const MoeShape& shape,
-                          int denom) {
-  return FidelityExtent(shape.m, denom,
-                        kMoeCoarseGranule * spec.num_devices) < shape.m;
-}
-
-sim::TimeNs FidelitySimulateAgGemm(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom) {
-  // GEMM flops and AG wire bytes are both linear in k, so the
-  // compute-vs-comm balance every candidate is ranked on survives the
-  // shrink.
-  MlpPartShape s = shape;
-  s.k = FidelityExtent(shape.k, denom, kMlpFidelityGranule);
-  return SimulateAgGemm(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateGemmRs(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom) {
-  // Flops and RS wire bytes are both linear in n; the m axis (which the
-  // feasibility predicates constrain) stays untouched, so feasibility is
-  // fidelity-invariant for this family.
-  MlpPartShape s = shape;
-  s.n = FidelityExtent(shape.n, denom, kMlpFidelityGranule);
-  return SimulateGemmRs(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateAgAttention(const sim::MachineSpec& spec,
-                                        const AttnShape& shape,
-                                        const TuneCandidate& c, int denom) {
-  AttnShape s = shape;
-  s.seq = FidelityExtent(shape.seq, denom, 2048L * spec.num_devices);
-  return SimulateAgAttention(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateFlashCore(const sim::MachineSpec& spec,
-                                      const FlashShape& shape,
-                                      const TuneCandidate& c, int denom) {
-  FlashShape s = shape;
-  s.seq_kv = FidelityExtent(shape.seq_kv, denom, kFlashFidelityGranule);
-  return SimulateFlashCore(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateAgMoe(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom) {
-  MoeShape s = shape;
-  s.m = FidelityExtent(shape.m, denom, kMoeCoarseGranule * spec.num_devices);
-  if (s.m == shape.m) return SimulateAgMoe(spec, shape, routing, c);
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting r =
-      compute::RandomRouting(s.m, shape.num_experts, shape.topk, rng);
-  return SimulateAgMoe(spec, s, r, c);
-}
-
-sim::TimeNs FidelitySimulateMoeRs(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom) {
-  MoeShape s = shape;
-  s.m = FidelityExtent(shape.m, denom, kMoeCoarseGranule * spec.num_devices);
-  if (s.m == shape.m) return SimulateMoeRs(spec, shape, routing, c);
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting r =
-      compute::RandomRouting(s.m, shape.num_experts, shape.topk, rng);
-  return SimulateMoeRs(spec, s, r, c);
-}
-
 // ---- Analytic lower bounds ----------------------------------------------
 
 sim::TimeNs AgGemmOverlapBound(const sim::MachineSpec& spec,
@@ -632,37 +415,169 @@ sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
 
 // ---- Pre-wired searches -------------------------------------------------
 
+namespace {
+
+// The coarsest ladder rung's fidelity denominator (Autotuner::Ladder): a
+// family ladders only when this rung actually shrinks its problem.
+constexpr int kCoarsestRung = 16;
+
+// Shrinks an extent to ~1/denom, kept a multiple of `granule`; floors at
+// one granule, and returns the full extent when even that would not shrink
+// it (the shape is then too small for this fidelity to save anything).
+int64_t FidelityExtent(int64_t extent, int denom, int64_t granule) {
+  const int64_t granules = extent / denom / granule;
+  if (granules >= 1) return granules * granule;
+  return extent >= 2 * granule ? granule : extent;
+}
+
+// One-rung shrink: a quarter of the extent, kept divisible by `granule`,
+// never below one granule.
+int64_t QuarterExtent(int64_t extent, int64_t granule) {
+  const int64_t granules = extent / 4 / granule;
+  return granules >= 1 ? granules * granule : extent;
+}
+
+// Shrink granules: the k/n axes only need the bk/bn quantum; the flash KV
+// ladder keeps at least the largest block so every candidate still runs a
+// whole step; sequences otherwise keep whole 2048-row blocks (per rank for
+// attention), and MoE whole 1024-token chunks per rank (divisible by every
+// chunking knob the spaces expose).
+constexpr int64_t kMlpGranule = 64;
+constexpr int64_t kFlashGranule = 1024;
+constexpr int64_t kSeqGranule = 2048;
+constexpr int64_t kMoeGranule = 1024;
+// Routing seed for shrunken MoE token counts: a fresh deterministic routing
+// of the same distribution.
+constexpr uint64_t kMoeShrunkRoutingSeed = 1234;
+
+// Collapses the reduction loop to a single k-step: per-tile MMA cost is
+// linear in bk, so the makespan is nearly unchanged while the event count
+// drops by ~k/bk.
+TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
+  TuneCandidate coarse = c;
+  coarse.gemm.bk = static_cast<int>(
+      std::min<int64_t>(std::max<int64_t>(k, 1),
+                        std::numeric_limits<int>::max()));
+  return coarse;
+}
+
+// The ladder when `ladder` holds, else one rung on `coarse`, else (null
+// `coarse`) a plain search.
+TuneSchedule PickSchedule(bool ladder,
+                                 const Autotuner::FidelityFn& at_fidelity,
+                                 const Autotuner::EvalFn& coarse) {
+  if (ladder) return Autotuner::Ladder(at_fidelity);
+  if (coarse) return Autotuner::OneRung(coarse);
+  return {};
+}
+
+using MlpSimFn = sim::TimeNs (*)(const sim::MachineSpec&, const MlpPartShape&,
+                                 const TuneCandidate&);
+
+// AG+GEMM shrinks k (GEMM flops and AG wire bytes are both linear in k);
+// GEMM+RS shrinks n (flops and RS wire bytes linear in n, and the m axis
+// the feasibility predicates constrain stays untouched).
+TuneResult TuneMlpPart(MlpSimFn simulate, MlpSimFn bound, bool shrink_k,
+                       const sim::MachineSpec& spec, const MlpPartShape& shape,
+                       const TuningSpace& space, const TuneCandidate& base,
+                       const Autotuner& tuner) {
+  const auto shrunk = [&shape, shrink_k](int denom) {
+    MlpPartShape s = shape;
+    int64_t& axis = shrink_k ? s.k : s.n;
+    axis = FidelityExtent(axis, denom, kMlpGranule);
+    return s;
+  };
+  const int64_t extent = shrink_k ? shape.k : shape.n;
+  const MlpPartShape coarsest = shrunk(kCoarsestRung);
+  return tuner.Search(
+      space, base,
+      [&](const TuneCandidate& c) { return simulate(spec, shape, c); },
+      [&](const TuneCandidate& c) { return bound(spec, shape, c); },
+      PickSchedule(
+          (shrink_k ? coarsest.k : coarsest.n) < extent,
+          [&](const TuneCandidate& c, int denom) {
+            return simulate(spec, shrunk(denom), c);
+          },
+          [&](const TuneCandidate& c) {
+            return simulate(spec, shape, CoarsenReduction(c, shape.k));
+          }));
+}
+
+using MoeSimFn = sim::TimeNs (*)(const sim::MachineSpec&, const MoeShape&,
+                                 const compute::MoeRouting&,
+                                 const TuneCandidate&);
+
+// A MoE part at `m` global tokens: the caller's routing at full size, a
+// fresh deterministic routing of the same distribution when shrunk, so
+// token-linear compute, comm and reduce events all shrink together.
+sim::TimeNs SimulateMoeAt(MoeSimFn simulate, const sim::MachineSpec& spec,
+                          const MoeShape& shape,
+                          const compute::MoeRouting& routing, int64_t m,
+                          const TuneCandidate& c) {
+  if (m == shape.m) return simulate(spec, shape, routing, c);
+  MoeShape s = shape;
+  s.m = m;
+  Rng rng(kMoeShrunkRoutingSeed);
+  return simulate(spec, s,
+                  compute::RandomRouting(m, shape.num_experts, shape.topk, rng),
+                  c);
+}
+
+// `reduction_k` is the part's GEMM reduction extent (hidden for the AG
+// part, inner for the RS part).
+TuneResult TuneMoePart(MoeSimFn simulate, MoeSimFn bound, int64_t reduction_k,
+                       const sim::MachineSpec& spec, const MoeShape& shape,
+                       const compute::MoeRouting& routing,
+                       const TuningSpace& space, const TuneCandidate& base,
+                       const Autotuner& tuner) {
+  const int64_t granule = kMoeGranule * spec.num_devices;
+  const int64_t quarter = QuarterExtent(shape.m, granule);
+  return tuner.Search(
+      space, base,
+      [&](const TuneCandidate& c) {
+        return simulate(spec, shape, routing, c);
+      },
+      [&](const TuneCandidate& c) { return bound(spec, shape, routing, c); },
+      PickSchedule(
+          FidelityExtent(shape.m, kCoarsestRung, granule) < shape.m,
+          [&](const TuneCandidate& c, int denom) {
+            return SimulateMoeAt(simulate, spec, shape, routing,
+                                 FidelityExtent(shape.m, denom, granule), c);
+          },
+          [&](const TuneCandidate& c) {
+            return SimulateMoeAt(simulate, spec, shape, routing, quarter,
+                                 CoarsenReduction(c, reduction_k));
+          }));
+}
+
+}  // namespace
+
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
-      [&](const TuneCandidate& c) { return AgGemmLowerBound(spec, shape, c); },
-      [&](const TuneCandidate& c) {
-        return CoarseSimulateAgGemm(spec, shape, c);
-      });
+  return TuneMlpPart(SimulateAgGemm, AgGemmLowerBound, /*shrink_k=*/true, spec,
+                     shape, space, base, tuner);
 }
 
 TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
-      [&](const TuneCandidate& c) { return GemmRsLowerBound(spec, shape, c); },
-      [&](const TuneCandidate& c) {
-        return CoarseSimulateGemmRs(spec, shape, c);
-      });
+  return TuneMlpPart(SimulateGemmRs, GemmRsLowerBound, /*shrink_k=*/false,
+                     spec, shape, space, base, tuner);
 }
 
 TuneResult TuneAgAttention(const sim::MachineSpec& spec,
                            const AttnShape& shape, const TuningSpace& space,
                            const TuneCandidate& base, const Autotuner& tuner) {
+  const int64_t granule = kSeqGranule * spec.num_devices;
+  const auto at_seq = [&](int64_t seq, const TuneCandidate& c) {
+    AttnShape s = shape;
+    s.seq = seq;
+    return SimulateAgAttention(spec, s, c);
+  };
   // When the sequence is too short to shrink, a "coarse" score would be a
-  // full-fidelity run — halving would only double the work. Search plain.
-  const bool can_coarsen =
-      CoarseSeq(shape.seq, 2048L * spec.num_devices) < shape.seq;
+  // full-fidelity run — a rung would only add work. Search plain.
+  const int64_t quarter = QuarterExtent(shape.seq, granule);
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) {
@@ -671,182 +586,60 @@ TuneResult TuneAgAttention(const sim::MachineSpec& spec,
       [&](const TuneCandidate& c) {
         return AgAttentionLowerBound(spec, shape, c);
       },
-      can_coarsen ? Autotuner::EvalFn([&](const TuneCandidate& c) {
-        return CoarseSimulateAgAttention(spec, shape, c);
-      })
-                  : Autotuner::EvalFn());
+      PickSchedule(
+          FidelityExtent(shape.seq, kCoarsestRung, granule) < shape.seq,
+          [&](const TuneCandidate& c, int denom) {
+            return at_seq(FidelityExtent(shape.seq, denom, granule), c);
+          },
+          quarter < shape.seq ? Autotuner::EvalFn([&](const TuneCandidate& c) {
+            return at_seq(quarter, c);
+          })
+                              : Autotuner::EvalFn()));
 }
 
 TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,
                          const TuningSpace& space, const TuneCandidate& base,
                          const Autotuner& tuner) {
-  const bool can_coarsen = CoarseSeq(shape.seq_q, 2048) < shape.seq_q ||
-                           CoarseSeq(shape.seq_kv, 2048) < shape.seq_kv;
+  // The ladder shrinks the KV axis only; the one rung quarters both.
+  FlashShape quarter = shape;
+  quarter.seq_q = QuarterExtent(shape.seq_q, kSeqGranule);
+  quarter.seq_kv = QuarterExtent(shape.seq_kv, kSeqGranule);
+  const bool can_quarter =
+      quarter.seq_q < shape.seq_q || quarter.seq_kv < shape.seq_kv;
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) { return SimulateFlashCore(spec, shape, c); },
       [&](const TuneCandidate& c) {
         return FlashCoreLowerBound(spec, shape, c);
       },
-      can_coarsen ? Autotuner::EvalFn([&](const TuneCandidate& c) {
-        return CoarseSimulateFlashCore(spec, shape, c);
-      })
-                  : Autotuner::EvalFn());
+      PickSchedule(
+          FidelityExtent(shape.seq_kv, kCoarsestRung, kFlashGranule) <
+              shape.seq_kv,
+          [&](const TuneCandidate& c, int denom) {
+            FlashShape s = shape;
+            s.seq_kv = FidelityExtent(shape.seq_kv, denom, kFlashGranule);
+            return SimulateFlashCore(spec, s, c);
+          },
+          can_quarter ? Autotuner::EvalFn([&](const TuneCandidate& c) {
+            return SimulateFlashCore(spec, quarter, c);
+          })
+                      : Autotuner::EvalFn()));
 }
 
 TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing,
                      const TuningSpace& space, const TuneCandidate& base,
                      const Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const TuneCandidate& c) {
-        return SimulateAgMoe(spec, shape, routing, c);
-      },
-      [&](const TuneCandidate& c) {
-        return AgMoeRoutedLowerBound(spec, shape, routing, c);
-      },
-      [&](const TuneCandidate& c) {
-        return CoarseSimulateAgMoe(spec, shape, routing, c);
-      });
+  return TuneMoePart(SimulateAgMoe, AgMoeRoutedLowerBound, shape.hidden, spec,
+                     shape, routing, space, base, tuner);
 }
 
 TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing,
                      const TuningSpace& space, const TuneCandidate& base,
                      const Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const TuneCandidate& c) {
-        return SimulateMoeRs(spec, shape, routing, c);
-      },
-      [&](const TuneCandidate& c) {
-        return MoeRsRoutedLowerBound(spec, shape, routing, c);
-      },
-      [&](const TuneCandidate& c) {
-        return CoarseSimulateMoeRs(spec, shape, routing, c);
-      });
-}
-
-// ---- Laddered multi-fidelity searches -----------------------------------
-
-namespace {
-
-int CoarsestRung(const Autotuner& tuner) {
-  const std::vector<int>& rungs = tuner.options().ladder_rungs;
-  return rungs.empty() ? 1 : rungs.front();
-}
-
-}  // namespace
-
-TuneResult TuneAgGemmLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner) {
-  if (!FidelityMlpCanShrink(shape, /*shrink_k=*/true, CoarsestRung(tuner))) {
-    return TuneAgGemm(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgGemm(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgGemmLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneGemmRsLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner) {
-  if (!FidelityMlpCanShrink(shape, /*shrink_k=*/false, CoarsestRung(tuner))) {
-    return TuneGemmRs(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateGemmRs(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return GemmRsLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneAgAttentionLaddered(const sim::MachineSpec& spec,
-                                   const AttnShape& shape,
-                                   const TuningSpace& space,
-                                   const TuneCandidate& base,
-                                   const Autotuner& tuner) {
-  if (!FidelityAttnCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneAgAttention(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgAttention(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgAttentionLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneFlashCoreLaddered(const sim::MachineSpec& spec,
-                                 const FlashShape& shape,
-                                 const TuningSpace& space,
-                                 const TuneCandidate& base,
-                                 const Autotuner& tuner) {
-  if (!FidelityFlashCanShrink(shape, CoarsestRung(tuner))) {
-    return TuneFlashCore(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateFlashCore(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return FlashCoreLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneAgMoeLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner) {
-  if (!FidelityMoeCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneAgMoe(spec, shape, routing, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgMoe(spec, shape, routing, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgMoeRoutedLowerBound(spec, shape, routing, c);
-      });
-}
-
-TuneResult TuneMoeRsLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner) {
-  if (!FidelityMoeCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneMoeRs(spec, shape, routing, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateMoeRs(spec, shape, routing, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return MoeRsRoutedLowerBound(spec, shape, routing, c);
-      });
+  return TuneMoePart(SimulateMoeRs, MoeRsRoutedLowerBound, shape.inner, spec,
+                     shape, routing, space, base, tuner);
 }
 
 }  // namespace tilelink::tl

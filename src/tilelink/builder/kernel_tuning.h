@@ -2,15 +2,12 @@
 //
 // Simulate*() builds a fresh timing-only World, constructs the kernel with
 // the candidate's knobs and returns the SPMD makespan — the exact quantity
-// the paper's figures report. Coarse*() are the cheap variants used by the
-// successive-halving round: the GEMM reduction loop is collapsed to one
-// k-step (simulated time is nearly invariant in bk, so the ranking is
-// preserved at ~an-order-of-magnitude fewer events), and attention shrinks
-// the sequence extent. *LowerBound() are analytic sim::CostModel bounds —
-// the overlap-aware max(compute-only, wire-time) plus the kernel launch
-// latency every fused kernel pays — which the Autotuner uses to prune
-// candidates without paying for a DES run. Tune*() wire evaluator, coarse
-// evaluator and bound together.
+// the paper's figures report. *LowerBound() are analytic sim::CostModel
+// bounds — the overlap-aware max(compute-only, wire-time) plus the kernel
+// launch latency every fused kernel pays — which the Autotuner uses to
+// prune candidates without paying for a DES run. Tune*() wire evaluator,
+// bound and a coarse-rung schedule together; the cheaper rung evaluators
+// are private to the .cc.
 #pragma once
 
 #include "compute/moe_routing.h"
@@ -87,69 +84,6 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
                              const TuneCandidate& part1,
                              const TuneCandidate& part2);
 
-// ---- Multi-fidelity (ladder) evaluators ---------------------------------
-// FidelitySimulate*(spec, shape, c, denom): the same makespan metric on a
-// problem shrunk by ~1/denom along an axis that scales compute and
-// communication *together*, so the candidate ranking is preserved while the
-// event count drops by ~denom. denom == 1 is exactly Simulate*. The axes:
-// AG+GEMM shrinks k (GEMM flops and AG wire bytes are both linear in k),
-// GEMM+RS shrinks n (flops and RS wire bytes linear in n), the attention
-// kernels shrink the sequence extent, and the MoE parts shrink the token
-// count with a fresh deterministic routing (like the coarse evaluators).
-// When the axis cannot shrink at `denom` (granularity floor), the full
-// shape is used — Fidelity*CanShrink reports whether a ladder would
-// actually save anything, so Tune*Laddered can fall back to the classic
-// halved search.
-sim::TimeNs FidelitySimulateAgGemm(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom);
-sim::TimeNs FidelitySimulateGemmRs(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom);
-sim::TimeNs FidelitySimulateAgAttention(const sim::MachineSpec& spec,
-                                        const AttnShape& shape,
-                                        const TuneCandidate& c, int denom);
-sim::TimeNs FidelitySimulateFlashCore(const sim::MachineSpec& spec,
-                                      const FlashShape& shape,
-                                      const TuneCandidate& c, int denom);
-sim::TimeNs FidelitySimulateAgMoe(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom);
-sim::TimeNs FidelitySimulateMoeRs(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom);
-bool FidelityMlpCanShrink(const MlpPartShape& shape, bool shrink_k,
-                          int denom);
-bool FidelityFlashCanShrink(const FlashShape& shape, int denom);
-bool FidelityAttnCanShrink(const sim::MachineSpec& spec,
-                           const AttnShape& shape, int denom);
-bool FidelityMoeCanShrink(const sim::MachineSpec& spec, const MoeShape& shape,
-                          int denom);
-
-// ---- Coarse (successive-halving) evaluators -----------------------------
-sim::TimeNs CoarseSimulateAgGemm(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c);
-sim::TimeNs CoarseSimulateGemmRs(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgAttention(const sim::MachineSpec& spec,
-                                      const AttnShape& shape,
-                                      const TuneCandidate& c);
-sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
-                                    const FlashShape& shape,
-                                    const TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgMoe(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c);
-sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c);
-
 // ---- Analytic lower bounds ----------------------------------------------
 // *LowerBound compose the overlap-aware bound with the candidate-dependent
 // communication-optimal floors of builder/comm_bounds.h via max. The
@@ -178,7 +112,13 @@ sim::TimeNs AgMoeLowerBound(const sim::MachineSpec& spec,
 sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
                             const MoeShape& shape, const TuneCandidate& c);
 
-// ---- Full searches (evaluator + coarse + bound pre-wired) ---------------
+// ---- Full searches (evaluator + bound + schedule pre-wired) -------------
+// Each picks its TuneSchedule from the shape: the fidelity ladder when its
+// shrink axis (AG+GEMM k, GEMM+RS n, attention seq, flash seq_kv,
+// MoE token count — each scales compute and communication together) can
+// shrink at 1/16; else one rung on a cheapened simulation (the reduction
+// loop collapsed to one k-step, the sequence or token count quartered);
+// else, for attention shapes too short for either, a plain search.
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner = Autotuner());
@@ -201,45 +141,5 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing,
                      const TuningSpace& space, const TuneCandidate& base,
                      const Autotuner& tuner = Autotuner());
-
-// ---- Laddered multi-fidelity searches -----------------------------------
-// The serving-path cold-tune schedule: Autotuner::SearchLaddered over the
-// kernel family's fidelity evaluator (coarse rungs per
-// Options::ladder_rungs, seed-anchored, floor-gated). When the shape is too
-// small for the coarsest rung to shrink anything, these fall back to the
-// classic halved Tune* — a ladder of full-fidelity rungs would triple the
-// work instead of bounding it.
-TuneResult TuneAgGemmLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner = Autotuner());
-TuneResult TuneGemmRsLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner = Autotuner());
-TuneResult TuneAgAttentionLaddered(const sim::MachineSpec& spec,
-                                   const AttnShape& shape,
-                                   const TuningSpace& space,
-                                   const TuneCandidate& base,
-                                   const Autotuner& tuner = Autotuner());
-TuneResult TuneFlashCoreLaddered(const sim::MachineSpec& spec,
-                                 const FlashShape& shape,
-                                 const TuningSpace& space,
-                                 const TuneCandidate& base,
-                                 const Autotuner& tuner = Autotuner());
-TuneResult TuneAgMoeLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner = Autotuner());
-TuneResult TuneMoeRsLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner = Autotuner());
 
 }  // namespace tilelink::tl

@@ -39,6 +39,22 @@ sim::TimeNs RunCollective(const sim::MachineSpec& spec, int64_t num_tiles,
   });
 }
 
+// One-rung schedule for a fused multi-node GEMM kernel: the reduction loop
+// collapsed to one k-step. Per-tile MMA cost is linear in bk, so the
+// ranking is preserved at a fraction of the events.
+tl::TuneSchedule OneReductionStepRung(
+    sim::TimeNs (*simulate)(const sim::MachineSpec&, const tl::MlpPartShape&,
+                            const tl::TuneCandidate&),
+    const sim::MachineSpec& spec, const tl::MlpPartShape& shape) {
+  return tl::Autotuner::OneRung([simulate, &spec, &shape](
+                                    const tl::TuneCandidate& c) {
+    tl::TuneCandidate coarse = c;
+    coarse.gemm.bk = static_cast<int>(std::min<int64_t>(
+        std::max<int64_t>(shape.k, 1), std::numeric_limits<int>::max()));
+    return simulate(spec, shape, coarse);
+  });
+}
+
 }  // namespace
 
 tl::TuneCandidate DefaultDpSyncCandidate() {
@@ -98,15 +114,6 @@ sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                                     HierConfig::FromCandidate(c));
 }
 
-sim::TimeNs CoarseSimulateDpSync(const sim::MachineSpec& spec,
-                                 uint64_t grad_bytes,
-                                 const tl::TuneCandidate& c) {
-  // Quarter volume preserves the chunking/staging ranking at a fraction of
-  // the events (chunk counts shrink 4x with the buffer).
-  return SimulateDpSync(spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20),
-                        c);
-}
-
 sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
                              uint64_t grad_bytes,
                              const tl::TuneCandidate& c) {
@@ -139,9 +146,12 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
       [&](const tl::TuneCandidate& c) {
         return DpSyncLowerBound(spec, grad_bytes, c);
       },
-      [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateDpSync(spec, grad_bytes, c);
-      });
+      tl::Autotuner::OneRung([&](const tl::TuneCandidate& c) {
+        // Quarter volume preserves the chunking/staging ranking at a
+        // fraction of the events (chunk counts shrink 4x with the buffer).
+        return SimulateDpSync(
+            spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20), c);
+      }));
 }
 
 // ---------------------------------------------------------------------------
@@ -242,17 +252,6 @@ sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
   tl::GemmHierRs kernel(world, GemmHierRsFromCandidate(shape, c));
   return world.RunSpmd(
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
-}
-
-sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c) {
-  // Collapse the reduction loop to one k-step: per-tile MMA cost is linear
-  // in bk, so the ranking is preserved at a fraction of the events.
-  tl::TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(std::min<int64_t>(
-      std::max<int64_t>(shape.k, 1), std::numeric_limits<int>::max()));
-  return SimulateGemmHierRs(spec, shape, coarse);
 }
 
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
@@ -387,17 +386,6 @@ sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
 
-sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c) {
-  // Collapse the reduction loop to one k-step (ranking-preserving, see
-  // CoarseSimulateGemmHierRs).
-  tl::TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(std::min<int64_t>(
-      std::max<int64_t>(shape.k, 1), std::numeric_limits<int>::max()));
-  return SimulateAgGemmHier(spec, shape, coarse);
-}
-
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c) {
@@ -465,9 +453,7 @@ tl::TuneResult TuneAgGemmHier(const sim::MachineSpec& spec,
       [&](const tl::TuneCandidate& c) {
         return AgGemmHierLowerBound(spec, shape, c);
       },
-      [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateAgGemmHier(spec, shape, c);
-      });
+      OneReductionStepRung(SimulateAgGemmHier, spec, shape));
 }
 
 tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
@@ -483,9 +469,7 @@ tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
       [&](const tl::TuneCandidate& c) {
         return GemmHierRsLowerBound(spec, shape, c);
       },
-      [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateGemmHierRs(spec, shape, c);
-      });
+      OneReductionStepRung(SimulateGemmHierRs, spec, shape));
 }
 
 }  // namespace tilelink::multinode

@@ -1,9 +1,10 @@
 // Evaluators and searches for the multi-node collectives — the
 // kernel_tuning analog one level up: Simulate*() builds a fresh timing-only
 // World on the multi-node MachineSpec, runs the collective SPMD and returns
-// the makespan; TuneDpSync() wires the evaluator, a coarse (quarter-volume)
-// variant and an analytic lower bound into Autotuner::Search over the
-// TuningSpace::MultiNode() axes.
+// the makespan; Tune*() wire the evaluator and an analytic lower bound into
+// Autotuner::Search with a one-rung schedule (Autotuner::OneRung) on a
+// private cheapened evaluator: the reduction loop collapsed to one k-step
+// for the fused kernels, a quarter of the gradient volume for DP sync.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,6 @@ sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
 // HierConfig::FromCandidate.
 sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                            const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateDpSync(const sim::MachineSpec& spec,
-                                 uint64_t grad_bytes,
-                                 const tl::TuneCandidate& c);
 // Overlap-aware bound: max(NIC wire time of both phases, reduce epilogue)
 // plus the unavoidable rendezvous/setup/latency costs.
 sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
@@ -64,7 +62,7 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 // ---- Fused GEMM + hierarchical ReduceScatter -----------------------------
 // The first multi-node fused kernel (kernels/gemm_hier_rs): GEMM tile axes
 // couple with the NIC knobs into one joint space, searched by the same
-// halving autotuner and gated against the layer-level compose below.
+// autotuner and gated against the layer-level compose below.
 
 // Candidate -> kernel config: comm_tile_m is the ring chunk rows,
 // nic_chunk_tiles the ring chunks per NIC message, staging_depth the
@@ -90,9 +88,6 @@ bool GemmHierRsFeasible(const sim::MachineSpec& spec,
 sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
                                const tl::MlpPartShape& shape,
                                const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c);
 // max(GEMM compute + launch, NIC rail wire, NVLink ring wire).
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
@@ -136,9 +131,6 @@ bool AgGemmHierFeasible(const sim::MachineSpec& spec,
 sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
                                const tl::MlpPartShape& shape,
                                const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c);
 // max(GEMM compute + launch, NIC rail wire, NVLink ring wire).
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,

@@ -263,7 +263,7 @@ TEST(ServingStepTimeTest, TunedViaConfigServiceNeverSlowerAndWarmHits) {
   const sim::TimeNs default_time =
       untuned.ServingStepTime(model, models::Method::kTileLink, step);
 
-  ConfigService service(ConfigService::Options{0, /*tune_threads=*/4, true});
+  ConfigService service(ConfigService::Options{0, /*tune_threads=*/4});
   models::E2eEstimator cold(8, 1, 1, false);
   service.Attach(&cold);
   const sim::TimeNs tuned_time =
@@ -286,7 +286,7 @@ TEST(ServingStepTimeTest, TunedViaConfigServiceNeverSlowerAndWarmHits) {
   EXPECT_LE(stats.hit_rate, 1.0);
   EXPECT_GE(stats.tuned_speedup_geomean, 1.0);  // seed-anchored searches
   EXPECT_GT(stats.entries, 0);
-  // The laddered searches record their accounting in every entry.
+  // Every scheduled search records its accounting in its entry.
   bool saw_seed_cost = false;
   for (const auto& [key, entry] : service.cache().Entries()) {
     EXPECT_GT(entry.cost, 0) << key;

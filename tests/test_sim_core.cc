@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event simulator core: event ordering,
-// coroutine composition, FIFO resources, flags, deadlock detection.
+// coroutine composition, FIFO resources, flags, deadlock detection, and
+// the coroutine frame pool's lifetime.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <thread>
 #include <vector>
 
 #include "sim/coro.h"
@@ -191,6 +194,30 @@ TEST(SimCore, DeterministicAcrossRuns) {
     return starts;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Coroutine frames are pooled per thread; the pool must be handed back when
+// its thread exits, or every short-lived worker thread (the autotuner starts
+// fresh ones per rung) leaks all the frames it ever pooled.
+TEST(SimCore, FramePoolFreedAtThreadExit) {
+  const auto simulate_on_fresh_thread = [] {
+    std::thread worker([] {
+      Simulator sim;
+      int count = 0;
+      for (int i = 0; i < 20000; ++i) sim.Spawn(SmallDelay(&count));
+      sim.Run();
+      EXPECT_EQ(count, 20000);
+    });
+    worker.join();
+  };
+  simulate_on_fresh_thread();  // warm up allocator arenas and lazy statics
+  const std::size_t before = mallinfo2().uordblks;
+  for (int t = 0; t < 8; ++t) simulate_on_fresh_thread();
+  const std::size_t after = mallinfo2().uordblks;
+  // One thread pools ~20000 frames (> 1 MiB); eight leaked pools would
+  // grow the heap by ~10 MiB.
+  EXPECT_LT(after, before + (std::size_t{1} << 20))
+      << "heap grew from " << before << " to " << after << " bytes";
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Tune-everything pipeline tests.
 //
-// 1. Successive halving: finds the same argmin as the exhaustive search on
-//    a seeded space whose coarse scores preserve the ranking; never returns
-//    worse than the seed even under an adversarial coarse evaluator; skips
-//    (halves) candidates.
+// 1. One-rung and ladder schedules of Autotuner::Search: find the same
+//    argmin as the exhaustive search on a seeded space whose coarse scores
+//    preserve the ranking; never return worse than the seed even under
+//    adversarial rungs; skip (halve) candidates; and every Tune* picks its
+//    schedule from the shape.
 // 2. TunedConfigCache: hits avoid re-searching, the JSON round-trip is
 //    lossless, and searches + serialization are deterministic across runs.
 // 3. The new per-kernel evaluators and their analytic lower bounds:
@@ -30,7 +31,7 @@ namespace tilelink::tl {
 namespace {
 
 // ---------------------------------------------------------------------- //
-// Successive halving
+// One-rung schedule (successive halving)
 // ---------------------------------------------------------------------- //
 
 // Deterministic synthetic landscape over the comm-tile/SM axes.
@@ -65,17 +66,19 @@ TEST(HalvingTest, MatchesExhaustiveArgminOnSeededSpace) {
       });
   full_evals = 0;
   const TuneResult halved =
-      tuner.Search(ToySpace(), base, eval, nullptr, coarse);
+      tuner.Search(ToySpace(), base, eval, nullptr, Autotuner::OneRung(coarse));
 
   EXPECT_EQ(halved.best, exhaustive.best);
   EXPECT_EQ(halved.best_cost, exhaustive.best_cost);
   EXPECT_EQ(halved.best.comm_tile_m, 256);
   EXPECT_EQ(halved.best.comm_sms, 16);
-  // The halving round must actually skip full-fidelity work.
+  // The rung must actually skip full-fidelity work.
   EXPECT_GT(halved.halved, 0);
   EXPECT_EQ(halved.coarse_evals, 31);  // 30 enumerated + out-of-space base
   EXPECT_LT(full_evals, 31);
+  // The seed's anchor run is reused by the full-fidelity pass.
   EXPECT_EQ(full_evals, static_cast<int>(halved.evaluated.size()));
+  EXPECT_EQ(halved.evaluated_per_rung.size(), 2u);
 }
 
 TEST(HalvingTest, NeverWorseThanSeedUnderAdversarialCoarse) {
@@ -83,16 +86,16 @@ TEST(HalvingTest, NeverWorseThanSeedUnderAdversarialCoarse) {
   base.comm = CommResource::kSmPull;
   base.comm_tile_m = 256;
   base.comm_sms = 16;  // the seed IS the landscape argmin
-  // Adversarial coarse: inverts the ranking, so the halving round keeps
-  // exactly the worst candidates.
+  // Adversarial coarse: inverts the ranking, so the rung keeps exactly the
+  // worst candidates.
   auto coarse = [](const TuneCandidate& c) {
     return sim::TimeNs{10000000} - ToyCost(c);
   };
   const TuneResult result = Autotuner().Search(
       ToySpace(), base, [](const TuneCandidate& c) { return ToyCost(c); },
-      nullptr, coarse);
-  // The seed is always re-evaluated at full fidelity, so even a perfectly
-  // misleading coarse round cannot push the result past it.
+      nullptr, Autotuner::OneRung(coarse));
+  // The seed is anchored at full fidelity, so even a perfectly misleading
+  // rung cannot push the result past it.
   EXPECT_EQ(result.best, base);
   EXPECT_EQ(result.best_cost, ToyCost(base));
 }
@@ -109,14 +112,15 @@ TEST(HalvingTest, SkipsTinySpaces) {
   };
   const TuneResult result = Autotuner().Search(
       space, base, [](const TuneCandidate& c) { return ToyCost(c); }, nullptr,
-      coarse);
-  EXPECT_EQ(coarse_calls, 0);  // below min_coarse_space: plain exhaustive
+      Autotuner::OneRung(coarse));
+  EXPECT_EQ(coarse_calls, 0);  // below the rung's min space: plain search
   EXPECT_EQ(result.coarse_evals, 0);
+  EXPECT_TRUE(result.evaluated_per_rung.empty());
   EXPECT_EQ(result.evaluated.size(), 2u);
 }
 
-// On a real simulated kernel: halving (coarse = collapsed reduction loop)
-// must agree with brute force about the argmin's cost on this small,
+// On a real simulated kernel: one rung on the collapsed reduction loop must
+// agree with brute force about the argmin's cost on this small,
 // well-separated space.
 TEST(HalvingTest, AgreesWithBruteForceOnSimulatedAgGemm) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
@@ -128,16 +132,20 @@ TEST(HalvingTest, AgreesWithBruteForceOnSimulatedAgGemm) {
       .CommSms({2, 4, 8})
       .Resources({CommResource::kSmPull, CommResource::kSmPush,
                   CommResource::kDma});
-  Autotuner::Options opts;
-  opts.min_survivors = 3;
-  const TuneResult halved =
-      TuneAgGemm(spec, shape, space, base, Autotuner(opts));
+  const TuneResult halved = Autotuner().Search(
+      space, base,
+      [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
+      nullptr, Autotuner::OneRung([&](const TuneCandidate& c) {
+        TuneCandidate coarse = c;
+        coarse.gemm.bk = static_cast<int>(shape.k);
+        return SimulateAgGemm(spec, shape, coarse);
+      }));
   sim::TimeNs brute_best = Autotuner::kInfeasible;
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs t = SimulateAgGemm(spec, shape, c);
     if (t != Autotuner::kInfeasible) brute_best = std::min(brute_best, t);
   }
-  // Halving may in principle drop the global argmin, but must never lose to
+  // A rung may in principle drop the global argmin, but must never lose to
   // it by more than the coarse ranking error on this well-separated space —
   // and the returned cost must be what the returned config simulates to.
   EXPECT_EQ(halved.best_cost, brute_best);
@@ -487,7 +495,7 @@ TEST(KernelTuningTest, MoeLayerComposition) {
 }
 
 // ---------------------------------------------------------------------- //
-// Laddered multi-fidelity search
+// Ladder schedule (multi-fidelity rungs)
 // ---------------------------------------------------------------------- //
 
 // The determinism guarantee is bitwise: not just the argmin, but the entire
@@ -513,11 +521,10 @@ void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
 
 // Order-preserving toy fidelity: coarse rungs see the landscape scaled by
 // 1/denom plus a fixed offset (the per-tile costs that do not shrink).
-Autotuner::FidelityEvalFn ToyFidelity() {
-  return [](const TuneCandidate& c, int denom) {
-    if (denom == 1) return ToyCost(c);
+TuneSchedule ToyLadder() {
+  return Autotuner::Ladder([](const TuneCandidate& c, int denom) {
     return ToyCost(c) / denom + 977;
-  };
+  });
 }
 
 TEST(LadderTest, MatchesExhaustiveArgminWithFewerFullEvals) {
@@ -526,8 +533,9 @@ TEST(LadderTest, MatchesExhaustiveArgminWithFewerFullEvals) {
   const Autotuner tuner;
   const TuneResult exhaustive = tuner.Search(
       ToySpace(), base, [](const TuneCandidate& c) { return ToyCost(c); });
-  const TuneResult ladder =
-      tuner.SearchLaddered(ToySpace(), base, ToyFidelity());
+  const TuneResult ladder = tuner.Search(
+      ToySpace(), base, [](const TuneCandidate& c) { return ToyCost(c); },
+      nullptr, ToyLadder());
 
   EXPECT_EQ(ladder.best, exhaustive.best);
   EXPECT_EQ(ladder.best_cost, exhaustive.best_cost);
@@ -535,10 +543,8 @@ TEST(LadderTest, MatchesExhaustiveArgminWithFewerFullEvals) {
   // Rung accounting (satellite of the serving PR): one slot per rung, the
   // final rung's promotion is the argmin, and every coarse rung must both
   // evaluate and cut.
-  ASSERT_EQ(ladder.evaluated_per_rung.size(),
-            tuner.options().ladder_rungs.size());
-  ASSERT_EQ(ladder.promoted_per_rung.size(),
-            tuner.options().ladder_rungs.size());
+  ASSERT_EQ(ladder.evaluated_per_rung.size(), 3u);  // 1/16, 1/4, full
+  ASSERT_EQ(ladder.promoted_per_rung.size(), 3u);
   EXPECT_EQ(ladder.promoted_per_rung.back(), 1);
   for (std::size_t r = 0; r + 1 < ladder.evaluated_per_rung.size(); ++r) {
     EXPECT_GT(ladder.evaluated_per_rung[r], 0) << r;
@@ -559,12 +565,12 @@ TEST(LadderTest, NeverWorseThanSeedUnderAdversarialFidelity) {
   base.comm_sms = 16;  // the seed IS the landscape argmin
   // Adversarial coarse rungs invert the ranking, so promotion keeps exactly
   // the worst candidates — but the seed anchors at full fidelity first.
-  auto fidelity = [](const TuneCandidate& c, int denom) {
-    if (denom == 1) return ToyCost(c);
+  auto fidelity = [](const TuneCandidate& c, int) {
     return sim::TimeNs{10000000} - ToyCost(c);
   };
-  const TuneResult r =
-      Autotuner().SearchLaddered(ToySpace(), base, fidelity);
+  const TuneResult r = Autotuner().Search(
+      ToySpace(), base, [](const TuneCandidate& c) { return ToyCost(c); },
+      nullptr, Autotuner::Ladder(fidelity));
   EXPECT_EQ(r.best, base);
   EXPECT_EQ(r.best_cost, ToyCost(base));
   EXPECT_EQ(r.seed_cost, ToyCost(base));
@@ -572,15 +578,16 @@ TEST(LadderTest, NeverWorseThanSeedUnderAdversarialFidelity) {
 
 TEST(LadderTest, SkipsTinySpaces) {
   TuningSpace space;
-  space.CommTileM({64, 128});  // below min_ladder_space
+  space.CommTileM({64, 128});  // below the ladder's min space
   TuneCandidate base;
   base.comm_tile_m = 64;
   int coarse_calls = 0;
-  const TuneResult r = Autotuner().SearchLaddered(
-      space, base, [&coarse_calls](const TuneCandidate& c, int denom) {
-        if (denom != 1) ++coarse_calls;
+  const TuneResult r = Autotuner().Search(
+      space, base, [](const TuneCandidate& c) { return ToyCost(c); }, nullptr,
+      Autotuner::Ladder([&coarse_calls](const TuneCandidate& c, int) {
+        ++coarse_calls;
         return ToyCost(c);
-      });
+      }));
   EXPECT_EQ(coarse_calls, 0);  // plain search: no reduced-fidelity rungs
   EXPECT_EQ(r.coarse_evals, 0);
   EXPECT_TRUE(r.evaluated_per_rung.empty());
@@ -594,21 +601,19 @@ TEST(LadderTest, SeedFloorGateDropsHopelessCandidates) {
   base.comm_sms = 16;
   // An exact bound: every non-argmin candidate's floor meets the seed's
   // anchored cost, so the whole space is dropped before any rung runs.
-  const TuneResult r = Autotuner().SearchLaddered(
-      ToySpace(), base, ToyFidelity(),
-      [](const TuneCandidate& c) { return ToyCost(c); });
+  const auto exact = [](const TuneCandidate& c) { return ToyCost(c); };
+  const TuneResult r =
+      Autotuner().Search(ToySpace(), base, exact, exact, ToyLadder());
   EXPECT_EQ(r.best, base);
   EXPECT_GT(r.pruned, 0);
   // Only the seed itself rides through the rungs (it is exempt from its
   // own floor): at most one coarse score per coarse rung.
-  EXPECT_LE(r.coarse_evals,
-            static_cast<int>(Autotuner().options().ladder_rungs.size()) - 1);
+  EXPECT_LE(r.coarse_evals, 2);
 }
 
-// Every kernel family's laddered search must return a config that (a)
-// simulates to exactly the reported cost and (b) never loses to the seed —
-// whether the shape is big enough for the ladder or falls back to the
-// classic halved search.
+// Every kernel family's search must return a config that (a) simulates to
+// exactly the reported cost and (b) never loses to the seed on shapes big
+// enough for the ladder.
 TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   {
@@ -621,7 +626,7 @@ TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
         .CommSms({2, 4, 8})
         .Resources({CommResource::kSmPull, CommResource::kSmPush,
                     CommResource::kDma});
-    const TuneResult ag = TuneAgGemmLaddered(spec, shape, space, base);
+    const TuneResult ag = TuneAgGemm(spec, shape, space, base);
     EXPECT_EQ(SimulateAgGemm(spec, shape, ag.best), ag.best_cost);
     EXPECT_LE(ag.best_cost, SimulateAgGemm(spec, shape, base));
     EXPECT_GT(ag.coarse_evals, 0);  // the ladder actually engaged
@@ -629,7 +634,7 @@ TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     EXPECT_LT(ag.evaluated_per_rung.back(),
               static_cast<int>(space.Enumerate(base).size()));
     const MlpPartShape rs_shape{512, 64, 1024};  // GEMM+RS shrinks n
-    const TuneResult rs = TuneGemmRsLaddered(spec, rs_shape, space, base);
+    const TuneResult rs = TuneGemmRs(spec, rs_shape, space, base);
     EXPECT_EQ(SimulateGemmRs(spec, rs_shape, rs.best), rs.best_cost);
     EXPECT_LE(rs.best_cost, SimulateGemmRs(spec, rs_shape, base));
   }
@@ -640,11 +645,11 @@ TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     base.block_kv = 16;
     TuningSpace space;
     space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
-    const TuneResult attn = TuneAgAttentionLaddered(spec, shape, space, base);
+    const TuneResult attn = TuneAgAttention(spec, shape, space, base);
     EXPECT_EQ(SimulateAgAttention(spec, shape, attn.best), attn.best_cost);
     EXPECT_LE(attn.best_cost, SimulateAgAttention(spec, shape, base));
     const FlashShape flash{4, 128, 256, 32};
-    const TuneResult fl = TuneFlashCoreLaddered(spec, flash, space, base);
+    const TuneResult fl = TuneFlashCore(spec, flash, space, base);
     EXPECT_EQ(SimulateFlashCore(spec, flash, fl.best), fl.best_cost);
     EXPECT_LE(fl.best_cost, SimulateFlashCore(spec, flash, base));
   }
@@ -670,12 +675,10 @@ TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
         .SortedChannelRows({32, 64})
         .ReduceBlockTokens({8, 16})
         .ReduceSms({2, 4});
-    const TuneResult p1 =
-        TuneAgMoeLaddered(moe_spec, shape, routing, space, base);
+    const TuneResult p1 = TuneAgMoe(moe_spec, shape, routing, space, base);
     EXPECT_EQ(SimulateAgMoe(moe_spec, shape, routing, p1.best), p1.best_cost);
     EXPECT_LE(p1.best_cost, SimulateAgMoe(moe_spec, shape, routing, base));
-    const TuneResult p2 =
-        TuneMoeRsLaddered(moe_spec, shape, routing, space, base);
+    const TuneResult p2 = TuneMoeRs(moe_spec, shape, routing, space, base);
     EXPECT_EQ(SimulateMoeRs(moe_spec, shape, routing, p2.best), p2.best_cost);
     EXPECT_LE(p2.best_cost, SimulateMoeRs(moe_spec, shape, routing, base));
   }
@@ -684,17 +687,18 @@ TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
 TEST(LadderTest, ThreadCountBitwiseInvariant) {
   // The full TuneResult — including the new per-rung accounting — must be
   // identical at 1 and 8 threads, on the toy landscape and on a real
-  // laddered kernel search.
+  // kernel search that ladders.
   TuneCandidate base;
   base.comm = CommResource::kSmPull;
+  const auto toy = [](const TuneCandidate& c) { return ToyCost(c); };
   const TuneResult serial =
-      Autotuner().SearchLaddered(ToySpace(), base, ToyFidelity());
+      Autotuner().Search(ToySpace(), base, toy, nullptr, ToyLadder());
   Autotuner::Options opts;
   for (int threads : {2, 8}) {
     opts.threads = threads;
-    ExpectIdenticalResults(
-        serial, Autotuner(opts).SearchLaddered(ToySpace(), base,
-                                               ToyFidelity()));
+    ExpectIdenticalResults(serial, Autotuner(opts).Search(ToySpace(), base,
+                                                          toy, nullptr,
+                                                          ToyLadder()));
   }
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   const MlpPartShape shape{512, 1024, 128};
@@ -707,8 +711,65 @@ TEST(LadderTest, ThreadCountBitwiseInvariant) {
                   CommResource::kDma});
   opts.threads = 8;
   ExpectIdenticalResults(
-      TuneAgGemmLaddered(spec, shape, space, seed),
-      TuneAgGemmLaddered(spec, shape, space, seed, Autotuner(opts)));
+      TuneAgGemm(spec, shape, space, seed),
+      TuneAgGemm(spec, shape, space, seed, Autotuner(opts)));
+}
+
+// A one-rung search: one coarse rung plus the full-fidelity pass, anchored
+// on the seed and never worse than it.
+void ExpectOneRung(const TuneResult& r, sim::TimeNs seed, const char* family) {
+  EXPECT_EQ(r.evaluated_per_rung.size(), 2u) << family;
+  EXPECT_GT(r.coarse_evals, 0) << family;
+  EXPECT_EQ(r.seed_cost, seed) << family;
+  EXPECT_LE(r.best_cost, seed) << family;
+}
+
+// On shapes too small for the ladder to shrink, each single-node Tune*
+// falls back to the one-rung schedule — not a plain search — and still
+// never loses to its seed. (The attention families have no such shapes: a
+// sequence long enough to quarter can always ladder. The multi-node
+// families, which always run one rung, are checked by
+// OneSearchTest.MultiNodeTunesBitwiseAcrossThreads.)
+TEST(OneSearchTest, SmallShapesRunOneRungNeverWorseThanSeed) {
+  {
+    const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
+    const MlpPartShape shape{512, 64, 64};  // k and n below two granules
+    TuneCandidate base;
+    base.gemm = compute::GemmTiling{32, 32, 16};
+    base.comm = CommResource::kDma;
+    base.comm_tile_m = 32;
+    TuningSpace space;
+    space.CommTileM({16, 32, 64, 128})
+        .CommSms({2, 4, 8})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma});
+    ExpectOneRung(TuneAgGemm(spec, shape, space, base),
+                  SimulateAgGemm(spec, shape, base), "ag_gemm");
+    ExpectOneRung(TuneGemmRs(spec, shape, space, base),
+                  SimulateGemmRs(spec, shape, base), "gemm_rs");
+  }
+  const sim::MachineSpec spec = sim::MachineSpec::Test(2, 16);
+  const MoeShape shape{128, 32, 32, 4, 2};
+  Rng rng(7);
+  const compute::MoeRouting routing =
+      compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+  TuneCandidate base;
+  base.gemm = compute::GemmTiling{16, 16, 8};
+  base.comm_tile_m = 16;
+  base.comm_sms = 2;
+  base.comm = CommResource::kSmPush;
+  base.sorted_channel_rows = 32;
+  base.reduce_block_tokens = 8;
+  base.reduce_sms = 2;
+  TuningSpace space;
+  space.CommTileM({16, 32, 64})
+      .CommSms({2, 4})
+      .Resources({CommResource::kSmPush, CommResource::kDma})
+      .ReduceSms({2, 4});
+  ExpectOneRung(TuneAgMoe(spec, shape, routing, space, base),
+                SimulateAgMoe(spec, shape, routing, base), "ag_moe");
+  ExpectOneRung(TuneMoeRs(spec, shape, routing, space, base),
+                SimulateMoeRs(spec, shape, routing, base), "moe_rs");
 }
 
 // ---------------------------------------------------------------------- //
@@ -822,22 +883,40 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
   }
 }
 
-TEST(ParallelSearchTest, DeterministicOnMultiNodeSpaces) {
+// The multi-node families always run the one-rung schedule (never worse
+// than the seed), and like every Tune* their full TuneResult must not
+// depend on the thread count.
+TEST(OneSearchTest, MultiNodeTunesBitwiseAcrossThreads) {
   const Autotuner parallel = ThreadedTuner(8);
-  const sim::MachineSpec spec = sim::MachineSpec::H800x16();
+  sim::MachineSpec spec = sim::MachineSpec::H800x8();  // two 2-GPU nodes
+  spec.num_devices = 4;
+  spec.devices_per_node = 2;
   const MlpPartShape shape{8192, 128, 1024};
-  const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
+  const TuneCandidate rs_seed = multinode::DefaultGemmHierRsCandidate(shape, 4);
+  const TuneResult rs = multinode::TuneGemmHierRs(
+      spec, shape, TuningSpace::GemmHierRs(), rs_seed);
+  ExpectOneRung(rs, multinode::SimulateGemmHierRs(spec, shape, rs_seed),
+                "gemm_hier_rs");
   ExpectIdenticalResults(
-      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
-                                seed),
-      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
-                                seed, parallel));
+      rs, multinode::TuneGemmHierRs(spec, shape, TuningSpace::GemmHierRs(),
+                                    rs_seed, parallel));
+  const TuneCandidate ag_seed = multinode::DefaultAgGemmHierCandidate(shape, 4);
+  const TuneResult ag = multinode::TuneAgGemmHier(
+      spec, shape, TuningSpace::AgGemmHier(), ag_seed);
+  ExpectOneRung(ag, multinode::SimulateAgGemmHier(spec, shape, ag_seed),
+                "ag_gemm_hier");
+  ExpectIdenticalResults(
+      ag, multinode::TuneAgGemmHier(spec, shape, TuningSpace::AgGemmHier(),
+                                    ag_seed, parallel));
   const uint64_t grad_bytes = 1ull << 26;
+  const TuneCandidate dp_seed = multinode::DefaultDpSyncCandidate();
+  const TuneResult dp = multinode::TuneDpSync(
+      spec, grad_bytes, TuningSpace::MultiNode(), dp_seed);
+  ExpectOneRung(dp, multinode::SimulateDpSync(spec, grad_bytes, dp_seed),
+                "dp_sync");
   ExpectIdenticalResults(
-      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
-                            multinode::DefaultDpSyncCandidate()),
-      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
-                            multinode::DefaultDpSyncCandidate(), parallel));
+      dp, multinode::TuneDpSync(spec, grad_bytes, TuningSpace::MultiNode(),
+                                dp_seed, parallel));
 }
 
 TEST(ParallelSearchTest, DeterministicUnderSharedFaultPlan) {
