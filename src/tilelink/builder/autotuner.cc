@@ -167,20 +167,19 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
 }  // namespace
 
 TuneSchedule Autotuner::Ladder(const FidelityFn& at_fidelity) {
-  TuneSchedule schedule;
-  for (const auto& [denom, keep] : {std::pair{16, 0.5}, std::pair{4, 0.25}}) {
-    schedule.rungs.push_back(
-        {[at_fidelity, denom](const TuneCandidate& c) {
-           return at_fidelity(c, denom);
-         },
-         keep});
+  std::vector<TuneSchedule::Rung> rungs;
+  for (const auto& [denom, keep] :
+       {std::pair{kLadderCoarsest, 0.5}, std::pair{4, 0.25}}) {
+    rungs.push_back({[at_fidelity, denom](const TuneCandidate& c) {
+                       return at_fidelity(c, denom);
+                     },
+                     keep});
   }
-  schedule.min_space = 16;
-  return schedule;
+  return TuneSchedule(std::move(rungs), /*min_space=*/16);
 }
 
 TuneSchedule Autotuner::OneRung(const EvalFn& coarse) {
-  return TuneSchedule{{{coarse, 0.125}}, 8};
+  return TuneSchedule({{coarse, 0.125}}, /*min_space=*/8);
 }
 
 TuneResult Autotuner::Search(const TuningSpace& space,
@@ -202,8 +201,8 @@ TuneResult Autotuner::Search(const TuningSpace& space,
   result.best_cost = kInfeasible;
 
   // --- Plain search: every candidate at full fidelity. -------------------
-  if (schedule.rungs.empty() ||
-      static_cast<int>(candidates.size()) < schedule.min_space) {
+  if (schedule.rungs_.empty() ||
+      static_cast<int>(candidates.size()) < schedule.min_space_) {
     if (lower_bound) {
       // Visit in ascending-bound order: the likely argmin is simulated
       // first, which makes the bound prune most of the rest.
@@ -225,22 +224,62 @@ TuneResult Autotuner::Search(const TuningSpace& space,
     return result;
   }
 
-  // Seed anchor: one full-fidelity run up front. Every later stage compares
-  // against it, so no rung can promote its way past the seed; the final
-  // pass reuses this cost instead of re-simulating the seed.
-  const sim::TimeNs seed_cost = eval(base);
+  // Floors, computed once: the gate below and every rung's ranking use
+  // them.
+  std::vector<sim::TimeNs> floors(candidates.size(), 0);
+  if (lower_bound) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      floors[i] = lower_bound(candidates[i]);
+    }
+  }
+  // Floor gate: a candidate whose communication-optimal lower bound already
+  // meets the seed's measured cost can never win — drop it before paying
+  // for any rung. (The seed itself always survives.)
+  const auto gated = [&](std::size_t i, sim::TimeNs seed_cost) {
+    return lower_bound && seed_cost != kInfeasible &&
+           !(candidates[i] == base) && floors[i] >= seed_cost;
+  };
+
+  // Seed anchor: one full-fidelity run, claimed first, with the first
+  // rung's scores sharded over the remaining workers instead of waiting for
+  // it. A worker that finds the anchor still pending scores its candidate
+  // speculatively; the serial gate below discards scores of candidates the
+  // anchor drops, so the result is the same at every thread count (and at
+  // one thread no speculative score is paid). Every later stage compares
+  // against the anchor, so no rung can promote its way past the seed; the
+  // final pass reuses this cost instead of re-simulating the seed.
+  std::atomic<sim::TimeNs> anchor{kPending};
+  std::vector<sim::TimeNs> first_rung(candidates.size(), kPending);
+  {
+    const TuneSchedule::Rung& rung = schedule.rungs_.front();
+    std::atomic<std::size_t> next{0};
+    RunWorkers(std::min<int>(threads, static_cast<int>(candidates.size()) + 1),
+               [&] {
+                 for (;;) {
+                   const std::size_t t =
+                       next.fetch_add(1, std::memory_order_relaxed);
+                   if (t > candidates.size()) return;
+                   if (t == 0) {
+                     anchor.store(eval(base), std::memory_order_release);
+                     continue;
+                   }
+                   const std::size_t i = t - 1;
+                   const sim::TimeNs s =
+                       anchor.load(std::memory_order_acquire);
+                   if (s != kPending && gated(i, s)) continue;
+                   first_rung[i] = rung.eval(candidates[i]);
+                 }
+               });
+  }
+  const sim::TimeNs seed_cost = anchor.load(std::memory_order_acquire);
   if (options_.verbose && seed_cost != kInfeasible) {
     PrintCandidate("tune/rung", base, seed_cost, "  seed anchor");
   }
 
-  // Floor gate: a candidate whose communication-optimal lower bound already
-  // meets the seed's measured cost can never win — drop it before paying
-  // for any rung. (The seed itself always survives.)
   std::vector<std::size_t> alive;
   alive.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (lower_bound && seed_cost != kInfeasible &&
-        !(candidates[i] == base) && lower_bound(candidates[i]) >= seed_cost) {
+    if (gated(i, seed_cost)) {
       result.pruned++;
       if (options_.verbose) {
         char buf[512];
@@ -257,12 +296,16 @@ TuneResult Autotuner::Search(const TuningSpace& space,
   // Coarse rungs: score the survivors, promote the best by (rung score,
   // lower bound, enumeration index) — the floors order near-ties, so a
   // fidelity too blunt to separate two candidates still promotes the one
-  // with more communication headroom first. Each rung is a pure
+  // with more communication headroom first. Each later rung is a pure
   // index-sharded map; classification and promotion run serially.
-  for (std::size_t r = 0; r < schedule.rungs.size(); ++r) {
-    const TuneRung& rung = schedule.rungs[r];
+  for (std::size_t r = 0; r < schedule.rungs_.size(); ++r) {
+    const TuneSchedule::Rung& rung = schedule.rungs_[r];
     std::vector<sim::TimeNs> rung_cost(alive.size(), kPending);
-    {
+    if (r == 0) {
+      for (std::size_t i = 0; i < alive.size(); ++i) {
+        rung_cost[i] = first_rung[alive[i]];
+      }
+    } else {
       std::atomic<std::size_t> next{0};
       RunWorkers(std::min<int>(threads, static_cast<int>(alive.size())),
                  [&] {
@@ -283,8 +326,7 @@ TuneResult Autotuner::Search(const TuningSpace& space,
         deferred.push_back(ci);
         continue;
       }
-      scored.emplace_back(rung_cost[i],
-                          lower_bound ? lower_bound(candidates[ci]) : 0, ci);
+      scored.emplace_back(rung_cost[i], floors[ci], ci);
     }
     result.coarse_evals += static_cast<int>(scored.size());
     result.evaluated_per_rung.push_back(static_cast<int>(scored.size()));

@@ -44,6 +44,7 @@
 
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -75,20 +76,27 @@ struct TuneResult {
   std::vector<int> promoted_per_rung;
 };
 
-// One coarse rung: scores the surviving candidates with `eval` and
-// promotes the best `keep` fraction of them (at least
-// Autotuner::kMinPromote).
-struct TuneRung {
-  std::function<sim::TimeNs(const TuneCandidate&)> eval;
-  double keep = 1.0;
-};
+// Coarse rungs, coarsest first, run before the full-fidelity pass. Each
+// rung scores the surviving candidates on a cheaper evaluator and promotes
+// a fixed fraction of them. A default-constructed schedule is empty (the
+// plain search); Autotuner::Ladder and Autotuner::OneRung build the only
+// two non-empty ones, whose fractions and minimum space are fixed
+// constants. Spaces smaller than the minimum skip the rungs (they would
+// cost more than they save) and search plain.
+class TuneSchedule {
+ public:
+  TuneSchedule() = default;
 
-// Coarse rungs, coarsest first, run before the full-fidelity pass. Spaces
-// smaller than min_space skip the rungs (they would cost more than they
-// save) and search plain; so does an empty schedule.
-struct TuneSchedule {
-  std::vector<TuneRung> rungs;
-  int min_space = 0;
+ private:
+  friend class Autotuner;
+  struct Rung {
+    std::function<sim::TimeNs(const TuneCandidate&)> eval;
+    double keep = 1.0;  // fraction of the scored candidates promoted
+  };
+  TuneSchedule(std::vector<Rung> rungs, int min_space)
+      : rungs_(std::move(rungs)), min_space_(min_space) {}
+  std::vector<Rung> rungs_;
+  int min_space_ = 0;
 };
 
 class Autotuner {
@@ -106,6 +114,9 @@ class Autotuner {
 
   // Every rung promotes at least this many of its scored candidates.
   static constexpr int kMinPromote = 4;
+  // The fidelity denominator of the ladder's coarsest rung: a family
+  // ladders only when this rung actually shrinks its problem.
+  static constexpr int kLadderCoarsest = 16;
 
   // The fidelity ladder: rungs at 1/16 and 1/4 of the problem keeping half
   // and then a quarter of their scores, for spaces of at least 16. Fixed
@@ -134,13 +145,15 @@ class Autotuner {
   // itself. `lower_bound` may be null. Requires a non-empty,
   // not-all-infeasible space.
   //
-  // Without rungs (empty schedule or a space below its min_space) this is
+  // Without rungs (empty schedule or a space below its minimum) this is
   // the plain search: every candidate at full fidelity in ascending-bound
   // order with lower-bound pruning. Otherwise:
   //   1. the seed is evaluated once at full fidelity, anchoring the search;
   //      with a lower bound, candidates whose floor already meets or
-  //      exceeds the seed's cost are dropped before any rung runs;
-  //   2. each rung scores the survivors and promotes its best `keep`
+  //      exceeds the seed's cost are dropped before any rung runs (with
+  //      threads > 1 the anchor runs alongside the first rung's scores,
+  //      which are discarded for dropped candidates);
+  //   2. each rung scores the survivors and promotes its fixed best
   //      fraction — ranked by (rung score, lower bound, enumeration index)
   //      — to the next rung, the seed always riding along; candidates a
   //      rung rejects as infeasible are deferred to the next rung unscored

@@ -417,10 +417,6 @@ sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
 
 namespace {
 
-// The coarsest ladder rung's fidelity denominator (Autotuner::Ladder): a
-// family ladders only when this rung actually shrinks its problem.
-constexpr int kCoarsestRung = 16;
-
 // Shrinks an extent to ~1/denom, kept a multiple of `granule`; floors at
 // one granule, and returns the full extent when even that would not shrink
 // it (the shape is then too small for this fidelity to save anything).
@@ -428,6 +424,12 @@ int64_t FidelityExtent(int64_t extent, int denom, int64_t granule) {
   const int64_t granules = extent / denom / granule;
   if (granules >= 1) return granules * granule;
   return extent >= 2 * granule ? granule : extent;
+}
+
+// A family ladders only when the ladder's coarsest rung actually shrinks
+// its extent.
+bool CanLadder(int64_t extent, int64_t granule) {
+  return FidelityExtent(extent, Autotuner::kLadderCoarsest, granule) < extent;
 }
 
 // One-rung shrink: a quarter of the extent, kept divisible by `granule`,
@@ -463,9 +465,8 @@ TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
 
 // The ladder when `ladder` holds, else one rung on `coarse`, else (null
 // `coarse`) a plain search.
-TuneSchedule PickSchedule(bool ladder,
-                                 const Autotuner::FidelityFn& at_fidelity,
-                                 const Autotuner::EvalFn& coarse) {
+TuneSchedule PickSchedule(bool ladder, const Autotuner::FidelityFn& at_fidelity,
+                          const Autotuner::EvalFn& coarse) {
   if (ladder) return Autotuner::Ladder(at_fidelity);
   if (coarse) return Autotuner::OneRung(coarse);
   return {};
@@ -487,14 +488,12 @@ TuneResult TuneMlpPart(MlpSimFn simulate, MlpSimFn bound, bool shrink_k,
     axis = FidelityExtent(axis, denom, kMlpGranule);
     return s;
   };
-  const int64_t extent = shrink_k ? shape.k : shape.n;
-  const MlpPartShape coarsest = shrunk(kCoarsestRung);
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) { return simulate(spec, shape, c); },
       [&](const TuneCandidate& c) { return bound(spec, shape, c); },
       PickSchedule(
-          (shrink_k ? coarsest.k : coarsest.n) < extent,
+          CanLadder(shrink_k ? shape.k : shape.n, kMlpGranule),
           [&](const TuneCandidate& c, int denom) {
             return simulate(spec, shrunk(denom), c);
           },
@@ -539,7 +538,7 @@ TuneResult TuneMoePart(MoeSimFn simulate, MoeSimFn bound, int64_t reduction_k,
       },
       [&](const TuneCandidate& c) { return bound(spec, shape, routing, c); },
       PickSchedule(
-          FidelityExtent(shape.m, kCoarsestRung, granule) < shape.m,
+          CanLadder(shape.m, granule),
           [&](const TuneCandidate& c, int denom) {
             return SimulateMoeAt(simulate, spec, shape, routing,
                                  FidelityExtent(shape.m, denom, granule), c);
@@ -587,7 +586,7 @@ TuneResult TuneAgAttention(const sim::MachineSpec& spec,
         return AgAttentionLowerBound(spec, shape, c);
       },
       PickSchedule(
-          FidelityExtent(shape.seq, kCoarsestRung, granule) < shape.seq,
+          CanLadder(shape.seq, granule),
           [&](const TuneCandidate& c, int denom) {
             return at_seq(FidelityExtent(shape.seq, denom, granule), c);
           },
@@ -613,8 +612,7 @@ TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,
         return FlashCoreLowerBound(spec, shape, c);
       },
       PickSchedule(
-          FidelityExtent(shape.seq_kv, kCoarsestRung, kFlashGranule) <
-              shape.seq_kv,
+          CanLadder(shape.seq_kv, kFlashGranule),
           [&](const TuneCandidate& c, int denom) {
             FlashShape s = shape;
             s.seq_kv = FidelityExtent(shape.seq_kv, denom, kFlashGranule);

@@ -693,12 +693,19 @@ TEST(LadderTest, ThreadCountBitwiseInvariant) {
   const auto toy = [](const TuneCandidate& c) { return ToyCost(c); };
   const TuneResult serial =
       Autotuner().Search(ToySpace(), base, toy, nullptr, ToyLadder());
+  // An exact bound makes the seed anchor's floor gate drop candidates the
+  // parallel first rung may already have scored speculatively.
+  const TuneResult gated =
+      Autotuner().Search(ToySpace(), base, toy, toy, ToyLadder());
   Autotuner::Options opts;
   for (int threads : {2, 8}) {
     opts.threads = threads;
     ExpectIdenticalResults(serial, Autotuner(opts).Search(ToySpace(), base,
                                                           toy, nullptr,
                                                           ToyLadder()));
+    ExpectIdenticalResults(gated, Autotuner(opts).Search(ToySpace(), base,
+                                                         toy, toy,
+                                                         ToyLadder()));
   }
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   const MlpPartShape shape{512, 1024, 128};
@@ -883,9 +890,28 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
   }
 }
 
+TEST(ParallelSearchTest, DeterministicOnMultiNodeSpaces) {
+  const Autotuner parallel = ThreadedTuner(8);
+  const sim::MachineSpec spec = sim::MachineSpec::H800x16();
+  const MlpPartShape shape{8192, 128, 1024};
+  const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
+  ExpectIdenticalResults(
+      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
+                                seed),
+      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
+                                seed, parallel));
+  const uint64_t grad_bytes = 1ull << 26;
+  ExpectIdenticalResults(
+      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
+                            multinode::DefaultDpSyncCandidate()),
+      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
+                            multinode::DefaultDpSyncCandidate(), parallel));
+}
+
 // The multi-node families always run the one-rung schedule (never worse
 // than the seed), and like every Tune* their full TuneResult must not
-// depend on the thread count.
+// depend on the thread count; a 2x2-GPU machine also covers TuneAgGemmHier
+// at test speed (the 2x8 production machine is checked above).
 TEST(OneSearchTest, MultiNodeTunesBitwiseAcrossThreads) {
   const Autotuner parallel = ThreadedTuner(8);
   sim::MachineSpec spec = sim::MachineSpec::H800x8();  // two 2-GPU nodes
