@@ -393,5 +393,77 @@ TEST(Faults, IdenticalSeedsReplayIdenticalTimelines) {
   EXPECT_NE(a, c);
 }
 
+Coro LateTry(Network* net, TimeNs start, int src, int dst, uint64_t bytes,
+             TransferOpts opts, TransferOutcome* out, TimeNs* done,
+             Simulator* sim) {
+  co_await Delay{start};
+  co_await net->TryTransfer(src, dst, bytes, opts, out);
+  *done = sim->Now();
+}
+
+TEST(Network, GoldenCompletionTimesUnderChurn) {
+  // Pins every flow's completion ns under heavy rate churn, so any change
+  // to how completions are scheduled must reproduce the float progress
+  // arithmetic and the event order exactly. Two rails; a seeded stream of
+  // staggered joins on ports 0-2; an equal-size pair finishing in the same
+  // ns; rail 1 degraded to half mid-flight; and rail 0 of port 3 killed
+  // under a pinned flow that then ends in its ack timeout.
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/40, "nic");
+  net.ConfigureRails(2);
+  constexpr int kSeeded = 14;
+  constexpr int kFlows = kSeeded + 3;
+  std::vector<TimeNs> done(kFlows, -1);
+  std::vector<TransferOutcome> outs(kFlows);
+  // Equal-size pair on disjoint ports, done before any seeded join.
+  sim.Spawn(LateTry(&net, 0, 0, 1, 30000, TransferOpts{}, &outs[0], &done[0],
+                    &sim));
+  sim.Spawn(LateTry(&net, 0, 1, 2, 30000, TransferOpts{}, &outs[1], &done[1],
+                    &sim));
+  // The rail-death victim: pinned to rail 0 through port 3.
+  TransferOpts victim;
+  victim.rail = 0;
+  victim.ack_timeout = 6000;
+  sim.Spawn(LateTry(&net, 900, 3, 0, 400000, victim, &outs[2], &done[2],
+                    &sim));
+  uint64_t state = 7;
+  auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ull;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  for (int i = 3; i < kFlows; ++i) {
+    const TimeNs start = 700 + static_cast<TimeNs>(next() % 3000);
+    const int src = static_cast<int>(next() % 3);
+    const int dst = (src + 1 + static_cast<int>(next() % 2)) % 3;
+    const uint64_t bytes = 20000 + (next() % 8) * 5000;
+    sim.Spawn(LateTry(&net, start, src, dst, bytes, TransferOpts{}, &outs[i],
+                      &done[i], &sim));
+  }
+  sim.At(1700, [&net] { net.SetRailScale(/*port=*/-1, /*rail=*/1, 0.5); });
+  sim.At(2500, [&net] { net.SetRailScale(/*port=*/3, /*rail=*/0, 0.0); });
+  sim.Run();
+
+  EXPECT_EQ(done[0], done[1]);
+  // Literals from the one-completion-event-per-flow model this replaced.
+  const std::vector<TimeNs> golden = {640,  640,  6940, 4798, 7500, 3994,
+                                      2530, 2467, 5326, 5320, 3675, 3108,
+                                      2804, 5173, 3742, 6078, 7052};
+  EXPECT_EQ(done, golden);
+  std::vector<int> rails, timed_out;
+  for (const TransferOutcome& o : outs) {
+    rails.push_back(o.rail);
+    timed_out.push_back(o.timed_out ? 1 : 0);
+  }
+  EXPECT_EQ(rails, (std::vector<int>{0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0,
+                                     1, 0, 1, 1}));
+  EXPECT_EQ(timed_out, (std::vector<int>{0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0}));
+  EXPECT_EQ(net.fault_stats().timeouts, 1u);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
 }  // namespace
 }  // namespace tilelink::sim
