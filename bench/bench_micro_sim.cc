@@ -11,6 +11,7 @@
 #include "bench/bench_common.h"
 #include "comm/collectives.h"
 #include "sim/flag.h"
+#include "sim/network.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "tilelink/kernels/ag_gemm.h"
@@ -112,6 +113,9 @@ void BM_NetworkFlows(benchmark::State& state) {
       s.Spawn(OneFlow(&net, i % 8, (i + 1) % 8));
     }
     s.Run();
+    // Completion wakes popped per transfer (1.0 is one wake per flow).
+    state.counters["wakes_per_flow"] =
+        static_cast<double>(net.wake_stats().wakes) / flows;
   }
   state.SetItemsProcessed(state.iterations() * flows);
 }

@@ -14,7 +14,10 @@
 #      any tuned config loses to its hand-picked default, fig8 also if the
 #      rung/bound machinery stops skipping candidates, and fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
-#      the simulator microbenchmarks. fig11 also gates the parallel-tuning
+#      the simulator microbenchmarks, which fail the stage if the 512-flow
+#      network bench stops reporting wakes_per_flow or it exceeds 1.1 (one
+#      armed completion wake per fabric, not one event per flow per
+#      rebalance). fig11 also gates the parallel-tuning
 #      identity: the cold sweep at --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
 #      build-ci/BENCH_*.json; fig11 warm-starts its tuned-config cache from
@@ -80,6 +83,12 @@ if [[ "$FAST" == "0" ]]; then
 
   echo "=== [4/6] Bench smoke (tuned configs must beat hand-picked) ==="
   ./build-ci/bench_micro_sim --json build-ci/BENCH_micro_sim.json
+  wpf=$(grep -o '"BM_NetworkFlows/512.wakes_per_flow": [^,}]*' \
+      build-ci/BENCH_micro_sim.json | awk '{print $2}') || true
+  awk -v v="${wpf:-missing}" \
+      'BEGIN { exit !(v != "missing" && v + 0 <= 1.1) }' \
+      || { echo "BM_NetworkFlows/512.wakes_per_flow=${wpf:-missing}" \
+                "(want <= 1.1)"; exit 1; }
   ./build-ci/bench_fig8_mlp --json build-ci/BENCH_fig8.json
   ./build-ci/bench_fig11_e2e --tune-threads 8 \
       --json build-ci/BENCH_fig11.json \

@@ -78,17 +78,18 @@ class Flag {
   };
 
   void WakeSatisfied() {
-    // Stable sweep: wake in arrival order for determinism.
-    std::vector<Waiter> still;
-    still.reserve(waiters_.size());
+    // Stable in-place sweep: wake in arrival order for determinism and keep
+    // the rest in order, without allocating. ScheduleResume only queues, so
+    // no waiter runs (or parks here) during the sweep.
+    std::size_t kept = 0;
     for (const Waiter& w : waiters_) {
       if (value_ >= w.threshold) {
         sim_->ScheduleResume(sim_->Now(), w.h);
       } else {
-        still.push_back(w);
+        waiters_[kept++] = w;
       }
     }
-    waiters_ = std::move(still);
+    waiters_.resize(kept);
   }
 
   Simulator* sim_;

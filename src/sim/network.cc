@@ -24,7 +24,7 @@ void Network::NoteRetry() {
 
 double Network::InflightBytes(int rail) const {
   double sum = 0;
-  for (const auto& [id, fp] : flows_) {
+  for (const auto& fp : flows_) {
     if (fp->rail == rail && fp->done.value() == 0) sum += fp->remaining_bytes;
   }
   return sum;
@@ -208,10 +208,9 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
   const TimeNs start = sim_->Now();
   co_await Delay{latency_ns_};
   const uint64_t id = next_flow_id_++;
-  auto [it, inserted] = flows_.emplace(
-      id, std::make_unique<Flow>(sim_, src, dst, static_cast<double>(bytes)));
-  TL_CHECK(inserted);
-  Flow& flow = *it->second;
+  flows_.push_back(std::make_unique<Flow>(sim_, id, src, dst,
+                                          static_cast<double>(bytes)));
+  Flow& flow = *flows_.back();
   flow.last_update = sim_->Now();
   flow.rail = opts.rail >= 0 ? opts.rail : PickRail(src, dst);
   TL_CHECK_LT(flow.rail, rails_);
@@ -219,11 +218,13 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
   if (opts.ack_timeout > 0) {
     // Flow ids are never reused, so a timer outliving its flow is inert.
     sim_->At(sim_->Now() + opts.ack_timeout, [this, id] {
-      auto fit = flows_.find(id);
-      if (fit == flows_.end()) return;
-      Flow& f = *fit->second;
+      auto it = FindFlow(id);
+      if (it == flows_.end()) return;
+      Flow& f = **it;
       if (f.done.value() > 0) return;  // completed, awaiting pickup
       f.timed_out = true;
+      f.pending = false;
+      ++pickups_;
       stats_.timeouts++;
       if (TraceRecorder* t = Tracer()) {
         t->AddInstant(trace_pid_, t->Track(trace_pid_, RailLane(f.rail)),
@@ -234,7 +235,7 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
       f.done.Set(1);
     });
   }
-  AddFlow(id);
+  AddFlow(flow);
   const TimeNs wire_start = sim_->Now();
   co_await flow.done.WaitGe(1);
   const bool timed_out = flow.timed_out;
@@ -279,8 +280,14 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
   }
 }
 
-void Network::AddFlow(uint64_t id) {
-  Flow& f = *flows_.at(id);
+Network::FlowTable::const_iterator Network::FindFlow(uint64_t id) const {
+  auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const std::unique_ptr<Flow>& f, uint64_t v) { return f->id < v; });
+  return it != flows_.end() && (*it)->id == id ? it : flows_.end();
+}
+
+void Network::AddFlow(Flow& f) {
   egress_[f.src].active_flows++;
   ingress_[f.dst].active_flows++;
   egress_[f.src].rail_flows[f.rail]++;
@@ -290,7 +297,9 @@ void Network::AddFlow(uint64_t id) {
 }
 
 void Network::RemoveFlow(uint64_t id) {
-  Flow& f = *flows_.at(id);
+  auto it = FindFlow(id);
+  TL_CHECK(it != flows_.end());
+  Flow& f = **it;
   egress_[f.src].active_flows--;
   ingress_[f.dst].active_flows--;
   egress_[f.src].rail_flows[f.rail]--;
@@ -300,24 +309,23 @@ void Network::RemoveFlow(uint64_t id) {
   TL_CHECK_GE(egress_[f.src].rail_flows[f.rail], 0);
   TL_CHECK_GE(ingress_[f.dst].rail_flows[f.rail], 0);
   const int rail = f.rail;
-  flows_.erase(id);
+  flows_.erase(it);
+  --pickups_;
   Rebalance();
   TraceRailCounter(rail);
 }
 
 void Network::Rebalance() {
+  ++wake_stats_.rebalances;
   const TimeNs now = sim_->Now();
-  for (auto& [id, fp] : flows_) {
+  const Flow* first = nullptr;
+  for (const auto& fp : flows_) {
     Flow& f = *fp;
     if (f.done.value() > 0) continue;  // completed, awaiting pickup
     // Progress under the old rate.
     f.remaining_bytes -= f.rate * static_cast<double>(now - f.last_update);
     f.remaining_bytes = std::max(f.remaining_bytes, 0.0);
     f.last_update = now;
-  }
-  for (auto& [id, fp] : flows_) {
-    Flow& f = *fp;
-    if (f.done.value() > 0) continue;
     // With one healthy rail this is bitwise the flat bw/flows share.
     const Port& ep = egress_[f.src];
     const Port& ip = ingress_[f.dst];
@@ -326,37 +334,80 @@ void Network::Rebalance() {
     const double in = (ip.bw_bytes_per_ns / rails_) * ip.rail_scale[f.rail] /
                       std::max(1, ip.rail_flows[f.rail]);
     f.rate = std::min(eg, in);
-    ScheduleCompletion(id, f);
+    KeyCompletion(f);
+    if (f.pending &&
+        (first == nullptr || f.KeyBefore(first->eta, first->seq))) {
+      first = &f;
+    }
   }
+  Arm(first);
 }
 
-void Network::ScheduleCompletion(uint64_t id, Flow& f) {
-  f.generation++;
-  if (f.rate <= 0.0) return;  // dead rail: park until rescale or ack timeout
-  const uint64_t gen = f.generation;
-  const TimeNs eta =
-      sim_->Now() + std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(
-                        f.remaining_bytes / f.rate)));
-  sim_->At(eta, [this, id, gen] { OnCompletionEvent(id, gen); });
+void Network::KeyCompletion(Flow& f) {
+  f.pending = f.rate > 0.0;
+  if (!f.pending) return;  // dead rail: park until rescale or ack timeout
+  f.eta = sim_->Now() + std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(
+                            f.remaining_bytes / f.rate)));
+  f.seq = sim_->ReserveSeq();
 }
 
-void Network::OnCompletionEvent(uint64_t id, uint64_t generation) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // flow already retired
-  Flow& f = *it->second;
-  if (f.generation != generation || f.done.value() > 0) return;  // stale
+void Network::Arm(const Flow* first) {
+  if (first == nullptr) return;
+  // A flow awaiting pickup is removed, and every key re-reserved, before
+  // simulated time moves on, so only a key due this very ns needs a wake.
+  if (pickups_ > 0 && first->eta > sim_->Now()) return;
+  // Minimum moved later (or stayed): the armed wake fires first and re-arms.
+  if (armed_ && !first->KeyBefore(armed_t_, armed_seq_)) return;
+  armed_ = true;
+  armed_t_ = first->eta;
+  armed_seq_ = first->seq;
+  const uint64_t wake_id = ++wake_id_;
+  sim_->AtSeq(armed_t_, armed_seq_, [this, wake_id] { OnWake(wake_id); });
+}
+
+void Network::OnWake(uint64_t wake_id) {
+  ++wake_stats_.wakes;
+  if (!armed_ || wake_id != wake_id_) {
+    ++wake_stats_.superseded;
+    return;
+  }
+  armed_ = false;
+  // One scan: the flow keyed at the armed seq (seqs are unique) and the
+  // first key among the rest.
+  Flow* due = nullptr;
+  const Flow* next = nullptr;
+  for (const auto& fp : flows_) {
+    if (!fp->pending) continue;
+    if (fp->seq == armed_seq_) {
+      due = fp.get();
+    } else if (next == nullptr || fp->KeyBefore(next->eta, next->seq)) {
+      next = fp.get();
+    }
+  }
+  if (due == nullptr) {
+    // The flow keyed here was re-keyed, retired or timed out since arming.
+    ++wake_stats_.lazy_rearms;
+    Arm(next);
+    return;
+  }
+  Flow& f = *due;
   const TimeNs now = sim_->Now();
   f.remaining_bytes -= f.rate * static_cast<double>(now - f.last_update);
   f.last_update = now;
   if (f.remaining_bytes <= 0.5) {
     f.remaining_bytes = 0.0;
+    f.pending = false;
+    ++pickups_;
+    ++wake_stats_.completions;
     // The waiting coroutine wakes at this same timestamp and calls
     // RemoveFlow, which frees the ports and rebalances; the port is "busy"
     // for zero simulated time after completion.
     f.done.Set(1);
   } else {
-    ScheduleCompletion(id, f);  // rate changed since scheduling; try again
+    KeyCompletion(f);  // float residue: try again under the same rate
+    if (next == nullptr || f.KeyBefore(next->eta, next->seq)) next = &f;
   }
+  Arm(next);
 }
 
 }  // namespace tilelink::sim

@@ -18,15 +18,25 @@
 // reports delivery instead of throwing so callers own the retry policy,
 // while the legacy `Transfer` wraps it in the plan's bounded-retry loop.
 //
-// Rates are recomputed whenever the flow set changes; completions are
-// event-driven with generation counters so stale completion events are
-// ignored. Flows are keyed by id (not iterator) so events outliving a flow
-// are harmless.
+// Rates are recomputed, and every flow's progress advanced, whenever the
+// flow set or a rail's health changes. Each pending flow then holds one
+// completion key (eta, seq), and the fabric keeps ONE armed simulator wake
+// at the smallest key. The seq is reserved (Simulator::ReserveSeq) exactly
+// where a per-flow completion event used to be pushed, so the wake runs at
+// the very position in the event order that flow's own event would have,
+// and makespans stay bitwise identical to the one-event-per-flow model
+// while the queue carries about one network event per transfer instead of
+// one per flow per rebalance. The wake is re-armed at once only when the
+// minimum key moves earlier; when it moves later, the armed wake fires
+// early, finds no flow due, and re-arms at the true minimum. A flow that
+// completes is picked up (RemoveFlow, which re-keys every flow) in the same
+// ns, so while one awaits pickup only a key due in that ns needs arming.
+// Flows are looked up by id (never reused), so a timer outliving its flow is
+// inert.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +56,15 @@ struct Port {
   int active_flows = 0;                  // across all rails (diagnostics)
   std::vector<int> rail_flows = {0};     // active flows per rail
   std::vector<double> rail_scale = {1.0};  // health in [0, 1] per rail
+};
+
+// Completion-wake bookkeeping (plain counters, always on).
+struct WakeStats {
+  uint64_t rebalances = 0;   // Rebalance() runs: flow joins/leaves, rescales
+  uint64_t wakes = 0;        // wake events popped, superseded ones included
+  uint64_t superseded = 0;   // popped after an earlier-keyed wake replaced it
+  uint64_t lazy_rearms = 0;  // live wakes that found no flow due and re-armed
+  uint64_t completions = 0;  // wakes that completed a flow
 };
 
 // Per-attempt knobs for TryTransfer.
@@ -128,23 +147,36 @@ class Network {
   // Total bytes ever moved (for tests/diagnostics).
   uint64_t total_bytes() const { return total_bytes_; }
   int active_flow_count() const { return static_cast<int>(flows_.size()); }
+  const WakeStats& wake_stats() const { return wake_stats_; }
 
  private:
   struct Flow {
+    uint64_t id;
     int src;
     int dst;
     double remaining_bytes;
     double rate = 0.0;       // bytes/ns
     TimeNs last_update = 0;  // when remaining_bytes was valid
-    uint64_t generation = 0; // bumps on every reschedule; stale events ignored
+    // Completion key while `pending` (rate > 0 and not done).
+    TimeNs eta = 0;
+    uint64_t seq = 0;
+    bool pending = false;
     int rail = 0;
     bool timed_out = false;
     Flag done;
-    Flow(Simulator* sim, int s, int d, double bytes)
-        : src(s), dst(d), remaining_bytes(bytes), done(sim, "flow.done") {}
+    Flow(Simulator* sim, uint64_t i, int s, int d, double bytes)
+        : id(i), src(s), dst(d), remaining_bytes(bytes),
+          done(sim, "flow.done") {}
+    bool KeyBefore(TimeNs t, uint64_t s) const {
+      return eta != t ? eta < t : seq < s;
+    }
   };
 
-  void AddFlow(uint64_t id);
+  using FlowTable = std::vector<std::unique_ptr<Flow>>;
+
+  // Binary search by id; end() when the flow is gone.
+  FlowTable::const_iterator FindFlow(uint64_t id) const;
+  void AddFlow(Flow& f);
   void RemoveFlow(uint64_t id);
   // The simulator's recorder when this fabric is trace-enabled, else null.
   TraceRecorder* Tracer() const {
@@ -153,11 +185,16 @@ class Network {
   // Sum of remaining bytes across active flows on one rail (trace only).
   double InflightBytes(int rail) const;
   void TraceRailCounter(int rail);
-  // Advances progress of all flows to Now(), recomputes rates, reschedules
-  // completion events.
+  // Advances progress of all flows to Now(), recomputes rates, re-keys
+  // every pending flow and arms the wake.
   void Rebalance();
-  void ScheduleCompletion(uint64_t id, Flow& f);
-  void OnCompletionEvent(uint64_t id, uint64_t generation);
+  // Reserves f's completion key under its current rate; a flow at rate 0
+  // (dead rail) parks unkeyed until a rescale or its ack timeout.
+  void KeyCompletion(Flow& f);
+  // Arms the wake at `first`'s key when that is earlier than the armed one.
+  void Arm(const Flow* first);
+  // The wake: completes (or re-keys) the flow due at the armed key.
+  void OnWake(uint64_t wake_id);
   // Least-loaded rail alive on both endpoints (tie: lowest index); rail 0
   // when every rail is dead (the flow parks; an ack-timeout recovers it).
   int PickRail(int src, int dst) const;
@@ -170,7 +207,15 @@ class Network {
   double local_copy_bw_ = 3000.0;  // ~HBM-class local copy
   TimeNs latency_ns_;
   std::string name_;
-  std::map<uint64_t, std::unique_ptr<Flow>> flows_;  // ordered: determinism
+  FlowTable flows_;  // ascending id: determinism
+  // The armed wake's key; a popped wake whose id is not wake_id_ was
+  // superseded by an earlier-keyed one.
+  bool armed_ = false;
+  TimeNs armed_t_ = 0;
+  uint64_t armed_seq_ = 0;
+  uint64_t wake_id_ = 0;
+  int pickups_ = 0;  // flows done and not yet removed by their waiter
+  WakeStats wake_stats_;
   uint64_t next_flow_id_ = 0;
   uint64_t total_bytes_ = 0;
   int rails_ = 1;

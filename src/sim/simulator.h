@@ -2,9 +2,10 @@
 //
 // The simulator owns a priority queue of events ordered by (time, sequence).
 // Events are either coroutine resumptions or plain callbacks. Determinism:
-// ties in time break by insertion sequence, and all state mutation happens on
-// the single event loop, so a given program produces bit-identical timing and
-// numerics on every run.
+// ties in time break by sequence number (taken at insertion, or reserved
+// earlier with ReserveSeq), and all state mutation happens on the single
+// event loop, so a given program produces bit-identical timing and numerics
+// on every run.
 //
 // Hot path: an Event is a trivially-copyable 32-byte record whose payload is
 // either a coroutine frame address or a pointer to a pooled CallbackNode
@@ -99,6 +100,24 @@ class Simulator {
     At(now_ + delta, std::forward<F>(fn));
   }
 
+  // Takes the next sequence number without scheduling anything. The queue
+  // orders by (time, seq) alone, so a callback pushed later with AtSeq under
+  // a reserved seq runs exactly where an At made at the reservation point
+  // would have, and a reservation that is never scheduled disturbs nothing.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  // Schedules a callback at key (t, seq), where seq came from ReserveSeq().
+  // The key must not be in the past: t >= Now(), and at t == Now() seq must
+  // come after the event being run.
+  template <typename F>
+  void AtSeq(TimeNs t, uint64_t seq, F&& fn) {
+    TL_CHECK_LT(seq, next_seq_);
+    TL_CHECK_GE(t, now_);
+    TL_CHECK(t > now_ || seq >= floor_seq_);
+    queue_.push(
+        Event{t, seq, MakeCallback(std::forward<F>(fn)), /*callback=*/true});
+  }
+
   // Schedules a coroutine resumption at absolute time t.
   void ScheduleResume(TimeNs t, std::coroutine_handle<> h);
 
@@ -191,6 +210,8 @@ class Simulator {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
+  // Smallest seq AtSeq may still use at now_: one past the running event's.
+  uint64_t floor_seq_ = 0;
   uint64_t processed_events_ = 0;
   int live_roots_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;

@@ -1,8 +1,9 @@
 // Tests for the flow-level interconnect: serial bandwidth, fair sharing,
 // latency accounting, local copies, cross-fabric independence, World
-// routing, stale completion events, rail splitting, and the deterministic
-// fault layer (targeted drops/spikes, seeded transients, ack timeouts,
-// rail death and failover).
+// routing, stale completion keys, the one-wake-per-fabric completion
+// schedule and its pinned golden timeline, rail splitting, and the
+// deterministic fault layer (targeted drops/spikes, seeded transients, ack
+// timeouts, rail death and failover).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -145,6 +146,30 @@ TEST(Network, StaleCompletionEventsAreIgnored) {
   // finishes at 3500, after both stale etas (3000 gen-1, 5000 gen-2).
   EXPECT_NEAR(static_cast<double>(db), 2000.0, 20.0);
   EXPECT_NEAR(static_cast<double>(da), 3500.0, 20.0);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
+Coro OneMiB(Network* net, int src, int dst) {
+  co_await net->Transfer(src, dst, 1 << 20);
+}
+
+TEST(Network, AboutOneWakePerTransfer) {
+  // The BM_NetworkFlows/512 shape: 512 equal flows over 8 ports, all joining
+  // in one ns. The fabric keeps one armed completion wake, so nearly every
+  // wake completes a flow instead of one event per flow per rebalance.
+  Simulator sim;
+  Network net(&sim, 8, 150.0, 2200, "nvl");
+  constexpr int kFlows = 512;
+  for (int i = 0; i < kFlows; ++i) {
+    sim.Spawn(OneMiB(&net, i % 8, (i + 1) % 8));
+  }
+  sim.Run();
+  const WakeStats& w = net.wake_stats();
+  EXPECT_EQ(w.rebalances, 2u * kFlows);  // one per join, one per leave
+  EXPECT_EQ(w.completions, static_cast<uint64_t>(kFlows));
+  EXPECT_LE(static_cast<double>(w.wakes), 1.1 * kFlows);
+  EXPECT_LE(static_cast<double>(w.wakes - w.completions), 0.05 * w.wakes);
+  EXPECT_LE(w.superseded + w.lazy_rearms, w.wakes - w.completions);
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
@@ -447,7 +472,7 @@ TEST(Network, GoldenCompletionTimesUnderChurn) {
   sim.Run();
 
   EXPECT_EQ(done[0], done[1]);
-  // Literals from the one-completion-event-per-flow model this replaced.
+  // Pinned from the one-completion-event-per-flow model; never re-pin.
   const std::vector<TimeNs> golden = {640,  640,  6940, 4798, 7500, 3994,
                                       2530, 2467, 5326, 5320, 3675, 3108,
                                       2804, 5173, 3742, 6078, 7052};

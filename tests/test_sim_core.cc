@@ -1,6 +1,7 @@
-// Unit tests for the discrete-event simulator core: event ordering,
-// coroutine composition, FIFO resources, flags, deadlock detection, and
-// the coroutine frame pool's lifetime.
+// Unit tests for the discrete-event simulator core: event ordering
+// (including reserved-seq scheduling), coroutine composition, FIFO
+// resources, flags, deadlock detection, and the coroutine frame pool's
+// lifetime.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -42,6 +43,48 @@ TEST(SimCore, TiesBreakByInsertionOrder) {
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SimCore, AtSeqRunsAtItsReservedPosition) {
+  // The reservation is taken first, a same-time event is pushed in between,
+  // and the AtSeq callback is scheduled last (from inside an earlier event):
+  // it still runs first, because the queue orders by (time, seq).
+  Simulator sim;
+  std::vector<int> order;
+  const uint64_t early = sim.ReserveSeq();
+  sim.At(50, [&order] { order.push_back(1); });
+  sim.At(10, [&sim, &order, early] {
+    sim.AtSeq(50, early, [&order] { order.push_back(0); });
+  });
+  sim.At(50, [&order] { order.push_back(2); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(SimCore, AtSeqRejectsUnreservedSeqsAndPastKeys) {
+  Simulator sim;
+  const uint64_t reserved = sim.ReserveSeq();
+  // Never reserved: the next seq has not been handed out.
+  EXPECT_THROW(sim.AtSeq(10, reserved + 1, [] {}), Error);
+  bool same_ns_rejected = false;
+  sim.At(100, [&sim, &same_ns_rejected, reserved] {
+    // Same ns, but a seq the running event already passed.
+    try {
+      sim.AtSeq(100, reserved, [] {});
+    } catch (const Error&) {
+      same_ns_rejected = true;
+    }
+  });
+  sim.Run();
+  EXPECT_TRUE(same_ns_rejected);
+  EXPECT_EQ(sim.Now(), 100);
+  // A time in the past.
+  EXPECT_THROW(sim.AtSeq(50, reserved, [] {}), Error);
+  // A later time under the old reservation is fine.
+  bool ran = false;
+  sim.AtSeq(150, reserved, [&ran] { ran = true; });
+  sim.Run();
+  EXPECT_TRUE(ran);
 }
 
 Coro Nested(Simulator* sim, TimeNs* out) {
@@ -137,6 +180,35 @@ TEST(SimCore, FlagWakesAtThreshold) {
   sim.Spawn(SetFlagAt(&flag, 200, 3));
   sim.Run();
   EXPECT_EQ(woke, 200);
+}
+
+Coro WaitFlagLog(Flag* flag, uint64_t threshold, int tag,
+                 std::vector<int>* log) {
+  co_await flag->WaitGe(threshold);
+  log->push_back(tag);
+}
+
+TEST(SimCore, FlagWakesSatisfiedWaitersInArrivalOrder) {
+  Simulator sim;
+  Flag flag(&sim, "f");
+  std::vector<int> log;
+  const uint64_t thresholds[] = {2, 1, 3, 1, 2, 3};
+  for (int i = 0; i < 6; ++i) {
+    sim.Spawn(WaitFlagLog(&flag, thresholds[i], i, &log));
+  }
+  sim.Spawn(SetFlagAt(&flag, 10, 2));
+  std::vector<int> after_set;
+  size_t parked = 0;
+  sim.At(15, [&] {
+    after_set = log;
+    parked = flag.num_waiters();
+    flag.Add(1);
+  });
+  sim.Run();
+  EXPECT_EQ(after_set, (std::vector<int>{0, 1, 3, 4}));
+  EXPECT_EQ(parked, 2u);  // the threshold-3 waiters, still in order
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 3, 4, 2, 5}));
+  EXPECT_EQ(flag.num_waiters(), 0u);
 }
 
 TEST(SimCore, FlagIsMonotonic) {
