@@ -367,7 +367,7 @@ void Network::Arm(const Flow* first) {
 
 void Network::OnWake(uint64_t wake_id) {
   ++wake_stats_.wakes;
-  if (!armed_ || wake_id != wake_id_) {
+  if (wake_id != wake_id_) {
     ++wake_stats_.superseded;
     return;
   }
