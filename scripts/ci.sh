@@ -25,8 +25,9 @@
 #   5. 16-GPU smoke: the two-node fabric bench with --payload --fused —
 #      fails if the functional 2x8 collectives are not bit-exact with zero
 #      consistency violations (or an injected NIC-stage fault goes
-#      uncaught), if a hierarchical collective loses to its flat
-#      single-stage baseline at 2x8, if a tuned DP-sync config loses to
+#      uncaught), if a hierarchical collective loses to the same
+#      collective run as one flat world-wide ring (RingScope::kWorld) at
+#      2x8, if a tuned DP-sync config loses to
 #      the hand-picked two-node defaults, or if the fused gemm_hier_rs
 #      kernel loses to the layer-level GEMM-then-HierRS compose (or its
 #      functional run is not bit-exact / violation-free), or if the
@@ -39,7 +40,9 @@
 #      critical path <= makespan), traced faults must surface as fault.*
 #      instants, and makespans must be bitwise identical with tracing on or
 #      off. The stage then checks the fabric.* keys landed in the JSON
-#      report and that the saved trace file is non-trivial.
+#      report, that its multinode.collectives.* makespans equal
+#      bench/golden/multinode_collectives.json exactly, and that the saved
+#      trace file is non-trivial.
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
 #      request trace through per-model replicas with scheduled cold tuning
 #      behind the online config service — it self-gates p99/cold-tune
@@ -113,6 +116,20 @@ if [[ "$FAST" == "0" ]]; then
     grep -q "\"$key\"" build-ci/BENCH_multinode.json \
         || { echo "missing $key in BENCH_multinode.json"; exit 1; }
   done
+  # The collective makespans (hierarchical and flat world-ring, 4/16/64 MiB,
+  # plus the relative geomeans) are deterministic simulated time: every
+  # multinode.collectives.* key must equal the checked-in golden exactly.
+  python3 - build-ci/BENCH_multinode.json \
+      bench/golden/multinode_collectives.json <<'PY'
+import json, sys
+got, want = (json.load(open(p)) for p in sys.argv[1:3])
+got = {k: v for k, v in got.items() if k.startswith("multinode.collectives.")}
+if got != want:
+    for k in sorted(set(got) | set(want)):
+        if got.get(k) != want.get(k):
+            print(f"{k}: got {got.get(k)}, golden {want.get(k)}")
+    sys.exit("multinode.collectives.* differ from bench/golden")
+PY
   [[ -s build-ci/TRACE_multinode.json ]] \
       || { echo "empty TRACE_multinode.json"; exit 1; }
   grep -q '"ph"' build-ci/TRACE_multinode.json \

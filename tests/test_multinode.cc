@@ -447,6 +447,32 @@ TEST(FaultPlan, TransientMixKeepsCollectivesBitExactAndDeterministic) {
   EXPECT_EQ(a.faults.retries, b.faults.retries);
 }
 
+// The flat world-wide ring under seeded NIC + NVLink transients: makespan,
+// fault counters and checker verdicts are pinned exactly, so any change to
+// how the ring builds, routes or retries its hops shows up here.
+TEST(FaultPlan, WorldRingUnderTransientsKeepsPinnedTimeline) {
+  const MachineSpec spec = MachineSpec::H800x16();
+  sim::FaultPlan plan;
+  plan.RandomTransients("nic", /*seed=*/7, /*drop_prob=*/0.1,
+                        /*spike_prob=*/0.1, /*spike_mult=*/3.0);
+  plan.RandomTransients("nvlink", /*seed=*/8, /*drop_prob=*/0.05,
+                        /*spike_prob=*/0.05, /*spike_mult=*/2.0);
+  const PayloadReport ag = ValidateFlatAllGather(spec, 32, 512 << 10, 8,
+                                                 HierConfig{}, &plan);
+  const PayloadReport rs = ValidateFlatReduceScatter(spec, 32, 512 << 10, 8,
+                                                     HierConfig{}, &plan);
+  EXPECT_TRUE(ag.ok());
+  EXPECT_TRUE(rs.ok());
+  EXPECT_EQ(ag.makespan, 6028683);
+  EXPECT_EQ(rs.makespan, 6032402);
+  for (const PayloadReport* r : {&ag, &rs}) {
+    EXPECT_EQ(r->faults.drops, 231u);
+    EXPECT_EQ(r->faults.spikes, 232u);
+    EXPECT_EQ(r->faults.timeouts, 0u);
+    EXPECT_EQ(r->faults.retries, 231u);
+  }
+}
+
 // Killing one of two NIC rails at t=0: the rail scheduler re-chunks all
 // traffic onto the survivor, the run completes bit-exactly, and the NIC
 // stage pays at most the surviving-bandwidth factor.
