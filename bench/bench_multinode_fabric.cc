@@ -2,7 +2,8 @@
 // the DP gradient-sync NIC-knob search, on the paper's H800x16 machine.
 //
 // Exit is nonzero if (a) a hierarchical collective loses to its flat
-// single-stage baseline at any tested shard size, or (b) the tuner's
+// single-stage baseline (the same collective with RingScope::kWorld: one
+// ring over all 16 ranks) at any tested shard size, or (b) the tuner's
 // NIC-knob search returns a DP-sync config worse than the hand-picked
 // two-node defaults. scripts/ci.sh runs this as the 16-GPU smoke stage.
 //
@@ -67,10 +68,12 @@ bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
                                         cfg)},
       {"hier_rs", ValidateHierReduceScatter(spec, tiles, tile_bytes,
                                             tile_elems, cfg)},
-      {"flat_ag", ValidateFlatAllGather(spec, tiles, tile_bytes, tile_elems,
-                                        cfg)},
-      {"flat_rs", ValidateFlatReduceScatter(spec, tiles, tile_bytes,
-                                            tile_elems, cfg)},
+      {"flat_ag", ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems,
+                                        cfg, nullptr, nullptr, 0,
+                                        RingScope::kWorld)},
+      {"flat_rs", ValidateHierReduceScatter(spec, tiles, tile_bytes,
+                                            tile_elems, cfg, nullptr,
+                                            nullptr, 0, RingScope::kWorld)},
       {"dp_ar", ValidateDpAllReduce(spec, tiles, tile_bytes, tile_elems,
                                     cfg)},
   };
@@ -85,11 +88,10 @@ bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
   // Fault canary: drop one rail chunk's in-order publication (the §4.2
   // acquire/release inversion on the NIC stage) — the checker must report
   // it, not let a silently wrong answer through.
-  HierConfig fault = cfg;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
+  tilelink::sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
   const PayloadReport f =
-      ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems, fault);
+      ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems, cfg, &fault);
   std::printf("  fault    violations=%zu (must be >= 1)\n", f.violations);
   report->Record("multinode.payload.fault_detected",
                  f.violations >= 1 ? 1.0 : 0.0);
@@ -359,13 +361,14 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
        }},
       {"flat_ag",
        [&](const sim::FaultPlan* p) {
-         return ValidateFlatAllGather(spec, tiles, tile_bytes, tile_elems,
-                                      cfg, p);
+         return ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems,
+                                      cfg, p, nullptr, 0, RingScope::kWorld);
        }},
       {"flat_rs",
        [&](const sim::FaultPlan* p) {
-         return ValidateFlatReduceScatter(spec, tiles, tile_bytes,
-                                          tile_elems, cfg, p);
+         return ValidateHierReduceScatter(spec, tiles, tile_bytes,
+                                          tile_elems, cfg, p, nullptr, 0,
+                                          RingScope::kWorld);
        }},
       {"dp_ar",
        [&](const sim::FaultPlan* p) {
@@ -612,8 +615,8 @@ int main(int argc, char** argv) {
   for (const Shape& s : shapes) {
     const sim::TimeNs hier =
         multinode::SimulateHierAllGather(spec, s.tiles, s.tile_bytes, cfg);
-    const sim::TimeNs flat =
-        multinode::SimulateFlatAllGather(spec, s.tiles, s.tile_bytes, cfg);
+    const sim::TimeNs flat = multinode::SimulateHierAllGather(
+        spec, s.tiles, s.tile_bytes, cfg, multinode::RingScope::kWorld);
     table.Add(s.name, "hier", ToMsD(hier));
     table.Add(s.name, "flat", ToMsD(flat));
     ok = ok && hier < flat;
@@ -621,8 +624,8 @@ int main(int argc, char** argv) {
         std::string("rs") + (s.name + 2);  // same volumes, RS direction
     const sim::TimeNs hier_rs = multinode::SimulateHierReduceScatter(
         spec, s.tiles, s.tile_bytes, cfg);
-    const sim::TimeNs flat_rs = multinode::SimulateFlatReduceScatter(
-        spec, s.tiles, s.tile_bytes, cfg);
+    const sim::TimeNs flat_rs = multinode::SimulateHierReduceScatter(
+        spec, s.tiles, s.tile_bytes, cfg, multinode::RingScope::kWorld);
     table.Add(rs_name, "hier", ToMsD(hier_rs));
     table.Add(rs_name, "flat", ToMsD(flat_rs));
     ok = ok && hier_rs < flat_rs;

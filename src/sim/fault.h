@@ -126,9 +126,10 @@ class FaultPlan {
   FaultPlan& DegradeRail(std::string fabric, int port, int rail, TimeNs at,
                          double fraction);
 
-  // PR 4's ordering bug as a plan entry: sender `src_rank` publishes the
-  // ready-signal for rail chunk `chunk` before the payload lands. This is
-  // the one mechanism behind the legacy HierConfig::unsafe_rail_* knobs.
+  // The §4.2 ordering bug as a plan entry: sender `src_rank` publishes the
+  // ready-signal for rail chunk `chunk` of its first rail exchange before
+  // the payload lands. The multinode collectives' only fault-injection
+  // knob: attach the plan to the World (or pass it to a Validate* driver).
   FaultPlan& ReorderRailChunk(int src_rank, int64_t chunk);
 
   FaultPlan& set_retry(RetryPolicy p) {

@@ -299,24 +299,23 @@ sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream) {
 // Host-driven role forms
 // ---------------------------------------------------------------------------
 
-NvlinkRingRole::NvlinkRingRole(rt::World& world, int chunk_tiles,
-                               int channels)
-    : world_(&world), chunk_tiles_(chunk_tiles), channels_(channels) {
+LinkRole::LinkRole(rt::World& world, int chunk_tiles, int window)
+    : world_(&world), chunk_tiles_(chunk_tiles), window_(window) {
   TL_CHECK_GT(chunk_tiles, 0);
-  TL_CHECK_GT(channels, 0);
+  TL_CHECK_GT(window, 0);
 }
 
-LinkStream NvlinkRingRole::Stream(
-    int src, int dst, uint64_t tile_bytes, InOrderSignal* arrival,
-    std::string name, const char* chunk_label, int64_t num_chunks,
-    std::function<LinkChunk(int64_t)> chunk) const {
+LinkStream LinkRole::Stream(int src, int dst, uint64_t tile_bytes,
+                            InOrderSignal* arrival, std::string name,
+                            const char* chunk_label, int64_t num_chunks,
+                            std::function<LinkChunk(int64_t)> chunk) const {
   LinkStream s;
-  s.fabric = &world_->intra_fabric();
+  s.fabric = &world_->fabric_for(src, dst);
   s.trace_pid = world_->trace_pid(src);
   s.src = src;
   s.dst = dst;
   s.tile_bytes = tile_bytes;
-  s.window = channels_;
+  s.window = window_;
   s.arrival = arrival;
   s.name = std::move(name);
   s.chunk_label = chunk_label;
@@ -327,44 +326,30 @@ LinkStream NvlinkRingRole::Stream(
   return s;
 }
 
-NicRailRole::NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
-                         int peers)
-    : world_(&world), chunk_tiles_(chunk_tiles) {
-  TL_CHECK_GT(chunk_tiles, 0);
+NvlinkRingRole::NvlinkRingRole(rt::World& world, int chunk_tiles,
+                               int channels)
+    : LinkRole(world, chunk_tiles, channels) {}
+
+namespace {
+
+// Per-peer staging depth after the device's NIC channel budget clamp (queue
+// pairs shared across all `peers` concurrent rail exchanges). A single-node
+// topology has no rail peers and claims no NIC channels.
+int ClampedStagingDepth(rt::World& world, int staging_depth, int peers) {
   TL_CHECK_GT(staging_depth, 0);
-  // Clamp the per-peer staging depth by the device's NIC channel budget
-  // (queue pairs shared across all `peers` concurrent rail exchanges). A
-  // single-node topology has no rail peers and claims no NIC channels.
-  if (peers <= 0) {
-    staging_depth_ = std::max(1, staging_depth);
-    return;
-  }
+  if (peers <= 0) return staging_depth;
   ResourceBudget budget = ResourceBudget::ForDevice(world.spec());
   const int granted =
       budget.ClaimFabric(FabricBinding::kNic, staging_depth * peers);
-  staging_depth_ = std::max(1, granted / peers);
+  return std::max(1, granted / peers);
 }
 
-LinkStream NicRailRole::Stream(
-    int src, int dst, uint64_t tile_bytes, InOrderSignal* arrival,
-    std::string name, const char* chunk_label, int64_t num_chunks,
-    std::function<LinkChunk(int64_t)> chunk) const {
-  LinkStream s;
-  s.fabric = &world_->inter_fabric();
-  s.trace_pid = world_->trace_pid(src);
-  s.src = src;
-  s.dst = dst;
-  s.tile_bytes = tile_bytes;
-  s.window = staging_depth_;
-  s.arrival = arrival;
-  s.name = std::move(name);
-  s.chunk_label = chunk_label;
-  s.num_chunks = num_chunks;
-  s.chunk = std::move(chunk);
-  ApplyLinkFaultPolicy(*world_,
-                       static_cast<uint64_t>(chunk_tiles_) * tile_bytes, &s);
-  return s;
-}
+}  // namespace
+
+NicRailRole::NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
+                         int peers)
+    : LinkRole(world, chunk_tiles,
+               ClampedStagingDepth(world, staging_depth, peers)) {}
 
 // ---------------------------------------------------------------------------
 // Device-program role forms (NIC rail)

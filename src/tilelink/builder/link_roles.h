@@ -8,10 +8,13 @@
 // departure is gated on upstream tile readiness (a producer's notify, the
 // previous pipeline stage's reduction), and each arrival is published to
 // downstream consumers as a contiguous tile prefix (InOrderSignal). The two
-// concrete roles mirror the FabricBinding variants a RolePlan budgets:
+// concrete roles mirror the FabricBinding variants a RolePlan budgets and
+// differ only in how they size the window:
 //
-//  * NvlinkRingRole (FabricBinding::kNvlink): intra-node ring stages —
-//    chunk size `intra_chunk_tiles`, window `intra_channels`.
+//  * NvlinkRingRole (FabricBinding::kNvlink): ring stages — chunk size
+//    `intra_chunk_tiles`, window `intra_channels`. Hops route by
+//    World::fabric_for, so a world-wide ring's node-boundary hops use the
+//    NIC.
 //  * NicRailRole (FabricBinding::kNic): inter-node rail exchanges — chunk
 //    size `nic_chunk_tiles`, window `staging_depth` clamped by the device's
 //    NIC queue-pair budget (ResourceBudget::ClaimFabric), shared across the
@@ -206,52 +209,47 @@ sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream);
 void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
                           LinkStream* stream);
 
-// Intra-node NVLink ring link role (host-driven form). The device-program
-// form of the same role is kernels/ring_rs.h's BuildRingReduceScatter,
-// which fused kernels bind through RolePlan::Comm(FabricBinding::kNvlink).
-class NvlinkRingRole {
+// Host-driven form shared by the link roles: a chunk size and a window.
+// Stream() builds one windowed stream over the fabric World::fabric_for
+// picks for the edge (NVLink within a node, NIC across nodes) and arms it
+// with ApplyLinkFaultPolicy; the concrete roles differ only in how they
+// size the window.
+class LinkRole {
  public:
-  static constexpr FabricBinding kFabric = FabricBinding::kNvlink;
-
-  NvlinkRingRole(rt::World& world, int chunk_tiles, int channels);
-
   int chunk_tiles() const { return chunk_tiles_; }
-  int window() const { return channels_; }
+  int window() const { return window_; }
 
   LinkStream Stream(int src, int dst, uint64_t tile_bytes,
                     InOrderSignal* arrival, std::string name,
                     const char* chunk_label, int64_t num_chunks,
                     std::function<LinkChunk(int64_t)> chunk) const;
 
+ protected:
+  LinkRole(rt::World& world, int chunk_tiles, int window);
+
  private:
   rt::World* world_;
   int chunk_tiles_;
-  int channels_;
+  int window_;
+};
+
+// NVLink ring link role (host-driven form): window = `channels` ring
+// messages in flight. A world-wide ring's node-boundary hops route over the
+// NIC. The device-program form of the same role is kernels/ring_rs.h's
+// BuildRingReduceScatter, which fused kernels bind through
+// RolePlan::Comm(FabricBinding::kNvlink).
+class NvlinkRingRole : public LinkRole {
+ public:
+  NvlinkRingRole(rt::World& world, int chunk_tiles, int channels);
 };
 
 // Inter-node NIC rail link role (host-driven form): one stream per rail
 // peer, window = per-peer staging depth after the NIC queue-pair budget
 // clamp (`peers` concurrent exchanges share the device's budget).
-class NicRailRole {
+class NicRailRole : public LinkRole {
  public:
-  static constexpr FabricBinding kFabric = FabricBinding::kNic;
-
   NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
               int peers);
-
-  int chunk_tiles() const { return chunk_tiles_; }
-  // Effective per-peer staging depth after the channel-budget clamp.
-  int window() const { return staging_depth_; }
-
-  LinkStream Stream(int src, int dst, uint64_t tile_bytes,
-                    InOrderSignal* arrival, std::string name,
-                    const char* chunk_label, int64_t num_chunks,
-                    std::function<LinkChunk(int64_t)> chunk) const;
-
- private:
-  rt::World* world_;
-  int chunk_tiles_;
-  int staging_depth_;
 };
 
 // ---------------------------------------------------------------------------

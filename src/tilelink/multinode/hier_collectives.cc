@@ -36,30 +36,16 @@ std::string EdgeName(const char* stage, int src, int dst) {
          std::to_string(dst);
 }
 
-// The legacy unsafe_rail_{src,chunk} knobs expressed as a FaultPlan, so the
-// plan's ReorderRailChunk is the one fault-description mechanism. The
-// resulting plan stays collective-local (never attached to the World):
-// reorder entries corrupt ordering only, so timing is untouched.
-sim::FaultPlan LegacyReorderPlan(const HierConfig& cfg) {
-  sim::FaultPlan plan;
-  if (cfg.unsafe_rail_src >= 0 && cfg.unsafe_rail_chunk >= 0) {
-    plan.ReorderRailChunk(cfg.unsafe_rail_src, cfg.unsafe_rail_chunk);
-  }
-  return plan;
-}
-
 // `primary` scopes the fault to the sender's first rail exchange (its
 // lowest-node peer), so exactly one chunk misbehaves even when the sender
 // runs one send stream per peer node (3+ node topologies). Reorders come
-// from the collective's legacy shim plan or from a plan attached to the
-// World — both express the same ReorderRailChunk fault kind.
-bool EagerRailFault(const rt::World& world, const sim::FaultPlan& legacy,
-                    int sender, std::size_t index, bool primary) {
+// from the FaultPlan attached to the World (ReorderRailChunk).
+bool EagerRailFault(const rt::World& world, int sender, std::size_t index,
+                    bool primary) {
   if (!primary) return false;
-  const int64_t chunk = static_cast<int64_t>(index);
-  if (legacy.IsRailReorder(sender, chunk)) return true;
   const sim::FaultPlan* plan = world.fault_plan();
-  return plan != nullptr && plan->IsRailReorder(sender, chunk);
+  return plan != nullptr &&
+         plan->IsRailReorder(sender, static_cast<int64_t>(index));
 }
 
 // True when `peer_node` is the lowest node other than `my_node`.
@@ -94,10 +80,13 @@ void CheckDenseTopology(const sim::MachineSpec& spec) {
 
 // Config + topology validation shared by the collective constructors; runs
 // before any link role is built so misconfigurations fail with a clear
-// message instead of deep inside a chunk loop. Returns the node count so it
-// can sit first in a constructor's initializer list.
-int ValidatedNodes(const sim::MachineSpec& spec, const HierConfig& cfg) {
+// message instead of deep inside a chunk loop. Returns the number of rings
+// (one per node; a world-wide ring counts as one node) so it can sit first
+// in a constructor's initializer list.
+int ValidatedNodes(const sim::MachineSpec& spec, const HierConfig& cfg,
+                   RingScope scope = RingScope::kNode) {
   cfg.Validate();
+  if (scope == RingScope::kWorld) return 1;
   CheckDenseTopology(spec);
   return spec.num_nodes();
 }
@@ -162,11 +151,12 @@ void HierConfig::Validate() const {
 // ---------------------------------------------------------------------------
 
 HierAllGather::HierAllGather(rt::World& world, int64_t num_tiles,
-                             uint64_t tile_bytes, const HierConfig& cfg)
+                             uint64_t tile_bytes, const HierConfig& cfg,
+                             RingScope scope)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
-      nodes_(ValidatedNodes(world.spec(), cfg)),
-      per_node_(world.spec().devices_per_node),
+      cfg_(cfg),
+      nodes_(ValidatedNodes(world.spec(), cfg, scope)),
+      per_node_(world.size() / nodes_),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),
       ring_role_(world, cfg.intra_chunk_tiles, cfg.intra_channels) {
   TL_CHECK_GT(num_tiles, 0);
@@ -210,7 +200,7 @@ sim::Coro HierAllGather::RailSend(rt::RankCtx& ctx, int peer) {
     const int64_t off = k * chunk_tiles;
     c.tiles = std::min(chunk_tiles, num_tiles_ - off);
     c.eager_publish =
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (payload()) {
       const int64_t lo = (r * num_tiles_ + off) * E;
       c.io = ChunkIo{&world_, out_[static_cast<size_t>(r)],
@@ -337,105 +327,16 @@ sim::Coro HierAllGather::Run(rt::RankCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatAllGather
-// ---------------------------------------------------------------------------
-
-FlatAllGather::FlatAllGather(rt::World& world, int64_t num_tiles,
-                             uint64_t tile_bytes, const HierConfig& cfg)
-    : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg) {
-  TL_CHECK_GT(num_tiles, 0);
-  cfg.Validate();
-  for (int r = 0; r < world.size(); ++r) {
-    ring_.push_back(std::make_unique<InOrderSignal>(
-        &world.sim(), "flat_ag.ring.r" + std::to_string(r)));
-    ring_.back()->set_trace_pid(world.trace_pid(r));
-  }
-}
-
-void FlatAllGather::AttachPayload(std::vector<rt::Buffer*> in,
-                                  std::vector<rt::Buffer*> out,
-                                  int64_t tile_elems) {
-  CheckPayloadShapes(world_, in, out, tile_elems, num_tiles_ * tile_elems,
-                     world_.size() * num_tiles_ * tile_elems);
-  in_ = std::move(in);
-  out_ = std::move(out);
-  tile_elems_ = tile_elems;
-}
-
-sim::Coro FlatAllGather::Run(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int64_t E = tile_elems_;
-  if (payload()) {
-    auto s = in_[static_cast<size_t>(r)]->data();
-    auto d = out_[static_cast<size_t>(r)]->data();
-    std::copy_n(s.data(), num_tiles_ * E, d.data() + r * num_tiles_ * E);
-  }
-  co_await CollectiveEntry(ctx);
-  const int right = (r + 1) % R;
-  const int64_t chunk_tiles = cfg_.intra_chunk_tiles;
-  const int64_t chunks_per_step = CeilDiv(num_tiles_, chunk_tiles);
-  tl::LinkStream stream;
-  stream.fabric = &world_.fabric_for(r, right);
-  stream.src = r;
-  stream.dst = right;
-  stream.tile_bytes = tile_bytes_;
-  stream.window = cfg_.intra_channels;
-  stream.arrival = ring_[static_cast<size_t>(right)].get();
-  stream.name = "flat_ag.send.r" + std::to_string(r);
-  stream.chunk_label = "flat_ag.chunk";
-  stream.trace_pid = world_.trace_pid(r);
-  stream.num_chunks = static_cast<int64_t>(R - 1) * chunks_per_step;
-  stream.chunk = [this, r, right, R, E, chunk_tiles,
-                  chunks_per_step](int64_t k) {
-    LinkChunk c;
-    const int j = static_cast<int>(k / chunks_per_step);
-    const int64_t off = (k % chunks_per_step) * chunk_tiles;
-    c.tiles = std::min(chunk_tiles, num_tiles_ - off);
-    if (j > 0) {
-      InOrderSignal* up = ring_[static_cast<size_t>(r)].get();
-      const uint64_t thr =
-          static_cast<uint64_t>((j - 1) * num_tiles_ + off + c.tiles);
-      c.gate = {&up->tiles_arrived(), thr};
-      if (world_.trace() != nullptr) {
-        c.take_flow = [up, thr] { return up->TakeFlowCovering(thr); };
-      }
-    }
-    if (payload()) {
-      const int src_rank = (r - j + R) % R;  // block forwarded at step j
-      const int64_t lo = (src_rank * num_tiles_ + off) * E;
-      c.io = ChunkIo{&world_, out_[static_cast<size_t>(r)],
-                     out_[static_cast<size_t>(right)],
-                     {{lo, lo, c.tiles * E}},
-                     RName("flat_ag.send", r),
-                     EdgeName("flat_ag.ring", r, right)};
-    }
-    return c;
-  };
-  tl::ApplyLinkFaultPolicy(
-      world_, static_cast<uint64_t>(chunk_tiles) * tile_bytes_, &stream);
-  co_await RunLinkStream(ctx.sim(), std::move(stream));
-  co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
-      static_cast<uint64_t>(static_cast<int64_t>(R - 1) * num_tiles_));
-  if (payload()) {
-    world_.checker().CheckRead(out_[static_cast<size_t>(r)], 0,
-                               R * num_tiles_ * E, ctx.sim()->Now(),
-                               RName("flat_ag.final", r));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // HierReduceScatter
 // ---------------------------------------------------------------------------
 
 HierReduceScatter::HierReduceScatter(rt::World& world, int64_t num_tiles,
                                      uint64_t tile_bytes,
-                                     const HierConfig& cfg)
+                                     const HierConfig& cfg, RingScope scope)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
-      nodes_(ValidatedNodes(world.spec(), cfg)),
-      per_node_(world.spec().devices_per_node),
+      cfg_(cfg),
+      nodes_(ValidatedNodes(world.spec(), cfg, scope)),
+      per_node_(world.size() / nodes_),
       group_tiles_(static_cast<int64_t>(nodes_) * num_tiles),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),
       ring_role_(world, cfg.intra_chunk_tiles, cfg.intra_channels) {
@@ -633,7 +534,7 @@ sim::Coro HierReduceScatter::RailSend(rt::RankCtx& ctx, int peer,
     const int64_t off = k * chunk_tiles;
     c.tiles = std::min(chunk_tiles, num_tiles_ - off);
     c.eager_publish =
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (per_node_ > 1) {
       const uint64_t thr = static_cast<uint64_t>(
           own_group_base + static_cast<int64_t>(peer_node) * num_tiles_ +
@@ -800,186 +701,6 @@ sim::Coro HierReduceScatter::Run(rt::RankCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatReduceScatter
-// ---------------------------------------------------------------------------
-
-FlatReduceScatter::FlatReduceScatter(rt::World& world, int64_t num_tiles,
-                                     uint64_t tile_bytes,
-                                     const HierConfig& cfg)
-    : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg) {
-  TL_CHECK_GT(num_tiles, 0);
-  cfg.Validate();
-  for (int r = 0; r < world.size(); ++r) {
-    ring_.push_back(std::make_unique<InOrderSignal>(
-        &world.sim(), "flat_rs.ring.r" + std::to_string(r)));
-    ring_.back()->set_trace_pid(world.trace_pid(r));
-    ring_reduced_.push_back(std::make_unique<sim::Flag>(
-        &world.sim(), "flat_rs.ring_red.r" + std::to_string(r)));
-  }
-}
-
-void FlatReduceScatter::AttachPayload(std::vector<rt::Buffer*> in,
-                                      std::vector<rt::Buffer*> out,
-                                      int64_t tile_elems) {
-  CheckPayloadShapes(world_, in, out, tile_elems,
-                     world_.size() * num_tiles_ * tile_elems,
-                     num_tiles_ * tile_elems);
-  in_ = std::move(in);
-  out_ = std::move(out);
-  tile_elems_ = tile_elems;
-  ring_acc_.assign(static_cast<size_t>(world_.size()), nullptr);
-  if (world_.size() > 1) {
-    for (int r = 0; r < world_.size(); ++r) {
-      ring_acc_[static_cast<size_t>(r)] = world_.device(r).Alloc(
-          "flat_rs.ring_acc",
-          static_cast<int64_t>(world_.size() - 1) * num_tiles_ * tile_elems);
-    }
-  }
-}
-
-sim::Coro FlatReduceScatter::RingSend(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int right = (r + 1) % R;
-  const int64_t E = tile_elems_;
-  const int64_t chunk_tiles = cfg_.intra_chunk_tiles;
-  const int64_t chunks_per_step = CeilDiv(num_tiles_, chunk_tiles);
-  tl::LinkStream stream;
-  stream.fabric = &world_.fabric_for(r, right);
-  stream.src = r;
-  stream.dst = right;
-  stream.tile_bytes = tile_bytes_;
-  stream.window = cfg_.intra_channels;
-  stream.arrival = ring_[static_cast<size_t>(right)].get();
-  stream.name = "flat_rs.send.r" + std::to_string(r);
-  stream.chunk_label = "flat_rs.chunk";
-  stream.trace_pid = world_.trace_pid(r);
-  stream.num_chunks = static_cast<int64_t>(R - 1) * chunks_per_step;
-  stream.chunk = [this, r, right, R, E, chunk_tiles,
-                  chunks_per_step](int64_t k) {
-    LinkChunk c;
-    const int s = static_cast<int>(k / chunks_per_step);
-    const int64_t off = (k % chunks_per_step) * chunk_tiles;
-    c.tiles = std::min(chunk_tiles, num_tiles_ - off);
-    if (s > 0) {
-      c.gate = {ring_reduced_[static_cast<size_t>(r)].get(),
-                static_cast<uint64_t>((s - 1) * num_tiles_ + off + c.tiles)};
-    }
-    if (payload()) {
-      c.io.world = &world_;
-      c.io.dst = ring_acc_[static_cast<size_t>(right)];
-      c.io.reader = RName("flat_rs.send", r);
-      c.io.writer = EdgeName("flat_rs.ring", r, right);
-      const int g = (r - s - 1 + R) % R;  // block forwarded at step s
-      if (s == 0) {
-        c.io.src = in_[static_cast<size_t>(r)];
-        c.io.runs.push_back({(static_cast<int64_t>(g) * num_tiles_ + off) * E,
-                             off * E, c.tiles * E});
-      } else {
-        c.io.src = ring_acc_[static_cast<size_t>(r)];
-        c.io.runs.push_back({((s - 1) * num_tiles_ + off) * E,
-                             (static_cast<int64_t>(s) * num_tiles_ + off) * E,
-                             c.tiles * E});
-      }
-    }
-    return c;
-  };
-  tl::ApplyLinkFaultPolicy(
-      world_, static_cast<uint64_t>(chunk_tiles) * tile_bytes_, &stream);
-  co_await RunLinkStream(ctx.sim(), std::move(stream));
-}
-
-sim::Coro FlatReduceScatter::RingReducer(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int64_t E = tile_elems_;
-  const int64_t total =
-      static_cast<int64_t>(world_.size() - 1) * num_tiles_;
-  const std::string name = RName("flat_rs.reduce", r);
-  sim::TraceRecorder* tr = world_.trace();
-  const int pid = world_.trace_pid(r);
-  const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
-  int64_t cum = 0;
-  while (cum < total) {
-    const int64_t tiles = std::min<int64_t>(cfg_.intra_chunk_tiles,
-                                            total - cum);
-    co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
-        static_cast<uint64_t>(cum + tiles));
-    const sim::TimeNs wake = ctx.sim()->Now();
-    if (tr != nullptr) {
-      const auto fin = ring_[static_cast<size_t>(r)]->TakeFlowCovering(
-          static_cast<uint64_t>(cum + tiles));
-      if (fin.first != 0) {
-        tr->AddFlowFinish(fin.first, pid, tid, wake, fin.second);
-      }
-    }
-    uint64_t wt = 0;
-    if (payload()) {
-      world_.checker().CheckRead(ring_acc_[static_cast<size_t>(r)], cum * E,
-                                 (cum + tiles) * E, wake, name);
-      wt = world_.checker().OpenWrite(wake);
-    }
-    co_await sim::Delay{ReduceCost(
-        world_, static_cast<uint64_t>(tiles) * tile_bytes_, cfg_.reduce_sms)};
-    if (payload()) {
-      for (int64_t p = cum; p < cum + tiles; ++p) {
-        const int64_t s = p / num_tiles_, t = p % num_tiles_;
-        const int g = (r - static_cast<int>(s) - 2 + 2 * R) % R;
-        AddInto(ring_acc_[static_cast<size_t>(r)], p * E,
-                in_[static_cast<size_t>(r)],
-                (static_cast<int64_t>(g) * num_tiles_ + t) * E, E);
-      }
-      world_.checker().RecordWrite(ring_acc_[static_cast<size_t>(r)],
-                                   cum * E, (cum + tiles) * E, wake + 1,
-                                   ctx.sim()->Now(), name, /*atomic=*/true);
-      world_.checker().CloseWrite(wt);
-    }
-    ring_reduced_[static_cast<size_t>(r)]->Add(
-        static_cast<uint64_t>(tiles));
-    cum += tiles;
-    if (tr != nullptr) {
-      tr->AddSpan(pid, tid, "ring_reduce", wake, ctx.sim()->Now(),
-                  sim::kCatCompute,
-                  {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
-                   sim::TraceArg::Num("cum", static_cast<double>(cum))});
-    }
-  }
-}
-
-sim::Coro FlatReduceScatter::Run(rt::RankCtx& ctx) {
-  co_await CollectiveEntry(ctx);
-  std::vector<sim::Coro> work;
-  if (world_.size() > 1) {
-    work.push_back(RingSend(ctx));
-    work.push_back(RingReducer(ctx));
-  }
-  co_await sim::WhenAll(std::move(work));
-  if (payload()) {
-    const int r = ctx.rank;
-    const int R = world_.size();
-    const int64_t E = tile_elems_;
-    const std::string name = RName("flat_rs.final", r);
-    const sim::TimeNs now = ctx.sim()->Now();
-    if (R > 1) {
-      // The fully reduced own block is the last ring arrival.
-      const int64_t base = static_cast<int64_t>(R - 2) * num_tiles_;
-      world_.checker().CheckRead(ring_acc_[static_cast<size_t>(r)], base * E,
-                                 (base + num_tiles_) * E, now, name);
-      AddInto(out_[static_cast<size_t>(r)], 0,
-              ring_acc_[static_cast<size_t>(r)], base * E, num_tiles_ * E);
-    } else {
-      AddInto(out_[static_cast<size_t>(r)], 0, in_[static_cast<size_t>(r)],
-              static_cast<int64_t>(r) * num_tiles_ * E, num_tiles_ * E);
-    }
-    world_.checker().RecordWrite(out_[static_cast<size_t>(r)], 0,
-                                 num_tiles_ * E, now, now, name);
-    world_.checker().CheckRead(out_[static_cast<size_t>(r)], 0,
-                               num_tiles_ * E, now, name);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // DpAllReduce
 // ---------------------------------------------------------------------------
 
@@ -997,7 +718,7 @@ static int64_t DpBlockStart(int64_t num_tiles, int nodes, int b) {
 DpAllReduce::DpAllReduce(rt::World& world, int64_t num_tiles,
                          uint64_t tile_bytes, const HierConfig& cfg)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
+      cfg_(cfg),
       nodes_(ValidatedNodes(world.spec(), cfg)),
       per_node_(world.spec().devices_per_node),
       // Each DP group member exchanges with every other member in both
@@ -1063,7 +784,7 @@ sim::Coro DpAllReduce::SendToPeer(rt::RankCtx& ctx, int peer, bool rs_phase) {
     c.tiles = std::min(chunk_tiles, tiles_total - off);
     c.eager_publish =
         rs_phase &&
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (!rs_phase) {
       // A reduced chunk leaves as soon as the reducer finishes it.
       c.gate = {block_reduced_[static_cast<size_t>(r)].get(),

@@ -8,9 +8,12 @@
 // exchange stage (rank (node, l) talks to (node', l)), pipelined against
 // each other at tile granularity: a NIC chunk enters the NVLink ring as
 // soon as it lands, and a reduced chunk leaves for the rail peer as soon
-// as the ring finishes it. The flat single-stage variants are kept as the
-// baseline the benchmarks compare against (T3/Syncopate both show the gap
-// between the two is the point of modeling the hierarchy at all).
+// as the ring finishes it. The flat single-stage baseline the benchmarks
+// compare against is the same AllGather/ReduceScatter with
+// RingScope::kWorld: one ring over every rank in global id order, whose
+// node-boundary hops land on the NIC and throttle the whole ring
+// (T3/Syncopate both show the gap between the two is the point of modeling
+// the hierarchy at all).
 //
 // The chunk-pipeline machinery itself — windowed sends, in-order arrival
 // publication, payload/checker instrumentation — is the builder layer's
@@ -51,6 +54,13 @@ namespace tilelink::multinode {
 // builder layer; collectives keep addressing it under its historical name.
 using tl::InOrderSignal;
 
+// Ring span of the AllGather/ReduceScatter schedules. kNode: one NVLink ring
+// per node plus the NIC rail stage between nodes. kWorld: a single ring over
+// all ranks in global id order and no rail stage — the flat baseline; each
+// hop takes the fabric World::fabric_for picks, so node-boundary hops cross
+// the NIC.
+enum class RingScope { kNode, kWorld };
+
 // Knobs of the multi-node design space (the TuningSpace::MultiNode() axes
 // plus the intra-node channel width the single-node kernels already tune).
 struct HierConfig {
@@ -60,25 +70,6 @@ struct HierConfig {
   int intra_chunk_tiles = 2; // tiles per NVLink ring message
   int intra_channels = 4;    // NVLink ring messages in flight
   int reduce_sms = 20;       // SMs billed for reduction epilogues
-
-  // §4.2 fault injection — the collective analog of
-  // CompilerOptions::unsafe_reorder. When both are >= 0, exactly one NIC
-  // rail chunk — chunk `unsafe_rail_chunk` of rank `unsafe_rail_src`'s
-  // first rail exchange (its lowest-node peer) — publishes its arrival
-  // signal when the send *starts* instead of when the payload lands: the
-  // receiver's in-order prefix advances early, downstream consumers read
-  // mid-flight, and in payload mode the ConsistencyChecker must report the
-  // race instead of letting a silently-wrong answer through. Safe mode
-  // leaves both at -1.
-  //
-  // These knobs are now a thin shim over sim::FaultPlan's reorder-fault
-  // kind (ReorderRailChunk): the collective builds a private plan from them
-  // at construction, so there is exactly one fault-description mechanism.
-  // The same reorder injected through a plan attached to the World
-  // (rt::World::set_fault_plan) behaves identically; the shim plan stays
-  // collective-local and reorder-only, so it never perturbs timing.
-  int unsafe_rail_src = -1;
-  int unsafe_rail_chunk = -1;
 
   static HierConfig FromCandidate(const tl::TuneCandidate& c);
 
@@ -94,7 +85,7 @@ struct HierConfig {
 class HierAllGather {
  public:
   HierAllGather(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                const HierConfig& cfg);
+                const HierConfig& cfg, RingScope scope = RingScope::kNode);
   sim::Coro Run(rt::RankCtx& ctx);
 
   // Functional payload mode: in[r] is rank r's shard (num_tiles *
@@ -115,7 +106,6 @@ class HierAllGather {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
   tl::NvlinkRingRole ring_role_;
@@ -130,31 +120,6 @@ class HierAllGather {
   int64_t tile_elems_ = 0;
 };
 
-// Flat single-stage baseline: one chunked ring over all ranks in global id
-// order; World::Transfer routes each hop (the node-boundary hops land on
-// the NIC and throttle the whole ring).
-class FlatAllGather {
- public:
-  FlatAllGather(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                const HierConfig& cfg);
-  sim::Coro Run(rt::RankCtx& ctx);
-
-  // Same payload layout as HierAllGather.
-  void AttachPayload(std::vector<rt::Buffer*> in,
-                     std::vector<rt::Buffer*> out, int64_t tile_elems);
-
- private:
-  bool payload() const { return tile_elems_ > 0; }
-
-  rt::World& world_;
-  int64_t num_tiles_;
-  uint64_t tile_bytes_;
-  HierConfig cfg_;
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;
-  std::vector<rt::Buffer*> in_, out_;
-  int64_t tile_elems_ = 0;
-};
-
 // Two-stage ReduceScatter: every rank holds world_size * num_tiles partial
 // tiles; rank r ends with its num_tiles fully reduced. Stage 1 ring-reduces
 // within the node over NVLink (rank (n, l) accumulates the node's partial
@@ -163,7 +128,8 @@ class FlatAllGather {
 class HierReduceScatter {
  public:
   HierReduceScatter(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                    const HierConfig& cfg);
+                    const HierConfig& cfg,
+                    RingScope scope = RingScope::kNode);
   sim::Coro Run(rt::RankCtx& ctx);
 
   // Functional payload mode: in[r] holds one partial tile-block per
@@ -185,7 +151,6 @@ class HierReduceScatter {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   int64_t group_tiles_;  // nodes * num_tiles, one intra-ring group
   tl::NicRailRole rail_role_;
@@ -205,33 +170,6 @@ class HierReduceScatter {
   int64_t tile_elems_ = 0;
 };
 
-// Flat single-stage baseline ReduceScatter (chunked ring over all ranks).
-class FlatReduceScatter {
- public:
-  FlatReduceScatter(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                    const HierConfig& cfg);
-  sim::Coro Run(rt::RankCtx& ctx);
-
-  // Same payload layout as HierReduceScatter.
-  void AttachPayload(std::vector<rt::Buffer*> in,
-                     std::vector<rt::Buffer*> out, int64_t tile_elems);
-
- private:
-  sim::Coro RingSend(rt::RankCtx& ctx);
-  sim::Coro RingReducer(rt::RankCtx& ctx);
-  bool payload() const { return tile_elems_ > 0; }
-
-  rt::World& world_;
-  int64_t num_tiles_;
-  uint64_t tile_bytes_;
-  HierConfig cfg_;
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;
-  std::vector<std::unique_ptr<sim::Flag>> ring_reduced_;
-  std::vector<rt::Buffer*> in_, out_;
-  std::vector<rt::Buffer*> ring_acc_;  // (R-1)*num_tiles arrival positions
-  int64_t tile_elems_ = 0;
-};
-
 // Cross-node data-parallel AllReduce: each rank holds `num_tiles` gradient
 // tiles replicated across its DP group {(node, l) : node} — the 16-GPU
 // TP8 x DP2 layout, where the group never leaves the NIC. Tile-granular
@@ -246,8 +184,8 @@ class DpAllReduce {
 
   // Functional payload mode: in[r] is rank r's gradient (num_tiles *
   // tile_elems fp32); out[r] receives the group sum. Requires a functional
-  // World; call before Run. The unsafe_rail fault applies to the
-  // ReduceScatter phase (the AllGather phase has no downstream consumer
+  // World; call before Run. A FaultPlan::ReorderRailChunk fault applies to
+  // the ReduceScatter phase (the AllGather phase has no downstream consumer
   // inside the collective to race with).
   void AttachPayload(std::vector<rt::Buffer*> in,
                      std::vector<rt::Buffer*> out, int64_t tile_elems);
@@ -263,7 +201,6 @@ class DpAllReduce {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
   std::vector<std::vector<std::unique_ptr<InOrderSignal>>> rs_arrived_;

@@ -29,11 +29,12 @@ void GradTiling(uint64_t grad_bytes, int64_t* num_tiles,
              static_cast<uint64_t>(tiles));
 }
 
-template <typename Collective>
+template <typename Collective, typename... Scope>
 sim::TimeNs RunCollective(const sim::MachineSpec& spec, int64_t num_tiles,
-                          uint64_t tile_bytes, const HierConfig& cfg) {
+                          uint64_t tile_bytes, const HierConfig& cfg,
+                          Scope... scope) {
   rt::World world(spec, rt::ExecMode::kTimingOnly);
-  Collective coll(world, num_tiles, tile_bytes, cfg);
+  Collective coll(world, num_tiles, tile_bytes, cfg, scope...);
   return world.RunSpmd([&](rt::RankCtx& ctx) -> sim::Coro {
     co_await coll.Run(ctx);
   });
@@ -83,26 +84,16 @@ uint64_t LayerGradBytes(const models::ModelConfig& model, int tp) {
 
 sim::TimeNs SimulateHierAllGather(const sim::MachineSpec& spec,
                                   int64_t num_tiles, uint64_t tile_bytes,
-                                  const HierConfig& cfg) {
-  return RunCollective<HierAllGather>(spec, num_tiles, tile_bytes, cfg);
-}
-
-sim::TimeNs SimulateFlatAllGather(const sim::MachineSpec& spec,
-                                  int64_t num_tiles, uint64_t tile_bytes,
-                                  const HierConfig& cfg) {
-  return RunCollective<FlatAllGather>(spec, num_tiles, tile_bytes, cfg);
+                                  const HierConfig& cfg, RingScope scope) {
+  return RunCollective<HierAllGather>(spec, num_tiles, tile_bytes, cfg,
+                                      scope);
 }
 
 sim::TimeNs SimulateHierReduceScatter(const sim::MachineSpec& spec,
                                       int64_t num_tiles, uint64_t tile_bytes,
-                                      const HierConfig& cfg) {
-  return RunCollective<HierReduceScatter>(spec, num_tiles, tile_bytes, cfg);
-}
-
-sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
-                                      int64_t num_tiles, uint64_t tile_bytes,
-                                      const HierConfig& cfg) {
-  return RunCollective<FlatReduceScatter>(spec, num_tiles, tile_bytes, cfg);
+                                      const HierConfig& cfg, RingScope scope) {
+  return RunCollective<HierReduceScatter>(spec, num_tiles, tile_bytes, cfg,
+                                          scope);
 }
 
 sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,

@@ -27,18 +27,15 @@ uint64_t LayerGradBytes(const models::ModelConfig& model, int tp);
 tl::TuneCandidate DefaultDpSyncCandidate();
 
 // ---- Collective makespans (fresh timing-only world per call) -------------
+// RingScope::kWorld runs the flat single-ring baseline.
 sim::TimeNs SimulateHierAllGather(const sim::MachineSpec& spec,
                                   int64_t num_tiles, uint64_t tile_bytes,
-                                  const HierConfig& cfg);
-sim::TimeNs SimulateFlatAllGather(const sim::MachineSpec& spec,
-                                  int64_t num_tiles, uint64_t tile_bytes,
-                                  const HierConfig& cfg);
+                                  const HierConfig& cfg,
+                                  RingScope scope = RingScope::kNode);
 sim::TimeNs SimulateHierReduceScatter(const sim::MachineSpec& spec,
                                       int64_t num_tiles, uint64_t tile_bytes,
-                                      const HierConfig& cfg);
-sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
-                                      int64_t num_tiles, uint64_t tile_bytes,
-                                      const HierConfig& cfg);
+                                      const HierConfig& cfg,
+                                      RingScope scope = RingScope::kNode);
 
 // ---- DP gradient sync ----------------------------------------------------
 // Splits `grad_bytes` into tiles (tile count adapted to the volume so event

@@ -32,15 +32,17 @@ bool BufferMatches(rt::Buffer* buf, const std::vector<float>& ref) {
                   Tensor(&ref_buf, {n}, DType::kFP32));
 }
 
-// Shared driver: Collective is any of the five payload-capable classes,
-// `expect` produces rank r's reference output.
-template <typename Collective, typename ExpectFn>
+// Shared driver: Collective is any of the three payload-capable classes,
+// `expect` produces rank r's reference output, `scope` (AllGather and
+// ReduceScatter only) picks the ring span.
+template <typename Collective, typename ExpectFn, typename... Scope>
 PayloadReport RunValidation(const sim::MachineSpec& spec, int64_t num_tiles,
                             uint64_t tile_bytes, int64_t tile_elems,
                             const HierConfig& cfg, int64_t in_elems,
                             int64_t out_elems, const sim::FaultPlan* plan,
                             sim::TraceRecorder* trace, int trace_pid_base,
-                            const char* trace_label, const ExpectFn& expect) {
+                            const char* trace_label, const ExpectFn& expect,
+                            Scope... scope) {
   rt::World world(spec, rt::ExecMode::kFunctional);
   world.checker().set_enabled(true);
   world.set_fault_plan(plan);
@@ -51,7 +53,7 @@ PayloadReport RunValidation(const sim::MachineSpec& spec, int64_t num_tiles,
       AllocFilled(world, "payload.in", in_elems, /*fill=*/true);
   std::vector<rt::Buffer*> out =
       AllocFilled(world, "payload.out", out_elems, /*fill=*/false);
-  Collective coll(world, num_tiles, tile_bytes, cfg);
+  Collective coll(world, num_tiles, tile_bytes, cfg, scope...);
   coll.AttachPayload(in, out, tile_elems);
   PayloadReport report;
   report.makespan = world.RunSpmd(
@@ -78,30 +80,15 @@ PayloadReport ValidateHierAllGather(const sim::MachineSpec& spec,
                                     const HierConfig& cfg,
                                     const sim::FaultPlan* plan,
                                     sim::TraceRecorder* trace,
-                                    int trace_pid_base) {
+                                    int trace_pid_base, RingScope scope) {
   return RunValidation<HierAllGather>(
       spec, num_tiles, tile_bytes, tile_elems, cfg, num_tiles * tile_elems,
       spec.num_devices * num_tiles * tile_elems, plan, trace, trace_pid_base,
-      "hier_ag",
+      scope == RingScope::kWorld ? "flat_ag" : "hier_ag",
       [](const std::vector<rt::Buffer*>& in, int) {
         return RefAllGather(in);
-      });
-}
-
-PayloadReport ValidateFlatAllGather(const sim::MachineSpec& spec,
-                                    int64_t num_tiles, uint64_t tile_bytes,
-                                    int64_t tile_elems,
-                                    const HierConfig& cfg,
-                                    const sim::FaultPlan* plan,
-                                    sim::TraceRecorder* trace,
-                                    int trace_pid_base) {
-  return RunValidation<FlatAllGather>(
-      spec, num_tiles, tile_bytes, tile_elems, cfg, num_tiles * tile_elems,
-      spec.num_devices * num_tiles * tile_elems, plan, trace, trace_pid_base,
-      "flat_ag",
-      [](const std::vector<rt::Buffer*>& in, int) {
-        return RefAllGather(in);
-      });
+      },
+      scope);
 }
 
 PayloadReport ValidateHierReduceScatter(const sim::MachineSpec& spec,
@@ -111,31 +98,16 @@ PayloadReport ValidateHierReduceScatter(const sim::MachineSpec& spec,
                                         const HierConfig& cfg,
                                         const sim::FaultPlan* plan,
                                         sim::TraceRecorder* trace,
-                                        int trace_pid_base) {
+                                        int trace_pid_base, RingScope scope) {
   return RunValidation<HierReduceScatter>(
       spec, num_tiles, tile_bytes, tile_elems, cfg,
       spec.num_devices * num_tiles * tile_elems, num_tiles * tile_elems,
-      plan, trace, trace_pid_base, "hier_rs",
+      plan, trace, trace_pid_base,
+      scope == RingScope::kWorld ? "flat_rs" : "hier_rs",
       [&](const std::vector<rt::Buffer*>& in, int r) {
         return RefReduceScatter(in, r, num_tiles * tile_elems);
-      });
-}
-
-PayloadReport ValidateFlatReduceScatter(const sim::MachineSpec& spec,
-                                        int64_t num_tiles,
-                                        uint64_t tile_bytes,
-                                        int64_t tile_elems,
-                                        const HierConfig& cfg,
-                                        const sim::FaultPlan* plan,
-                                        sim::TraceRecorder* trace,
-                                        int trace_pid_base) {
-  return RunValidation<FlatReduceScatter>(
-      spec, num_tiles, tile_bytes, tile_elems, cfg,
-      spec.num_devices * num_tiles * tile_elems, num_tiles * tile_elems,
-      plan, trace, trace_pid_base, "flat_rs",
-      [&](const std::vector<rt::Buffer*>& in, int r) {
-        return RefReduceScatter(in, r, num_tiles * tile_elems);
-      });
+      },
+      scope);
 }
 
 PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,

@@ -6,17 +6,16 @@
 // attached, and compare every rank's output bit-for-bit against the
 // single-rank references.
 //
-// The same drivers carry the §4.2 fault injection: set
-// HierConfig::unsafe_rail_{src,chunk} and a safe run's `bit_exact &&
-// violations == 0` flips to `violations >= 1` — the checker catches the
-// dropped prefix-publication ordering on the NIC stage instead of letting a
-// silently wrong (or silently right-by-luck) answer through.
-//
-// Every driver also takes an optional sim::FaultPlan: the plan is attached
-// to the World before the run, so transient drops/spikes exercise the link
+// Every driver takes an optional sim::FaultPlan: the plan is attached to
+// the World before the run, so transient drops/spikes exercise the link
 // roles' retry path and rail degrades exercise failover, while the
 // bit-exactness and checker gates stay exactly as strict as the fault-free
-// run. The caller keeps the plan alive for the duration of the call.
+// run. The same plan carries the §4.2 fault injection: with a
+// ReorderRailChunk entry a safe run's `bit_exact && violations == 0` flips
+// to `violations >= 1` — the checker catches the dropped
+// prefix-publication ordering on the NIC stage instead of letting a
+// silently wrong (or silently right-by-luck) answer through. The caller
+// keeps the plan alive for the duration of the call.
 #pragma once
 
 #include <cstdint>
@@ -52,33 +51,24 @@ struct PayloadReport {
 // attaches it to its World before constructing the collective, so signal
 // publications, chunk spans, counters and fault instants all land in it.
 // Tracing never changes the reported makespan (pinned by test_trace).
+// The AllGather/ReduceScatter drivers run the flat single-ring baseline
+// with RingScope::kWorld.
 
 PayloadReport ValidateHierAllGather(const sim::MachineSpec& spec,
                                     int64_t num_tiles, uint64_t tile_bytes,
                                     int64_t tile_elems, const HierConfig& cfg,
                                     const sim::FaultPlan* plan = nullptr,
                                     sim::TraceRecorder* trace = nullptr,
-                                    int trace_pid_base = 0);
-PayloadReport ValidateFlatAllGather(const sim::MachineSpec& spec,
-                                    int64_t num_tiles, uint64_t tile_bytes,
-                                    int64_t tile_elems, const HierConfig& cfg,
-                                    const sim::FaultPlan* plan = nullptr,
-                                    sim::TraceRecorder* trace = nullptr,
-                                    int trace_pid_base = 0);
+                                    int trace_pid_base = 0,
+                                    RingScope scope = RingScope::kNode);
 PayloadReport ValidateHierReduceScatter(const sim::MachineSpec& spec,
                                         int64_t num_tiles, uint64_t tile_bytes,
                                         int64_t tile_elems,
                                         const HierConfig& cfg,
                                         const sim::FaultPlan* plan = nullptr,
                                         sim::TraceRecorder* trace = nullptr,
-                                        int trace_pid_base = 0);
-PayloadReport ValidateFlatReduceScatter(const sim::MachineSpec& spec,
-                                        int64_t num_tiles, uint64_t tile_bytes,
-                                        int64_t tile_elems,
-                                        const HierConfig& cfg,
-                                        const sim::FaultPlan* plan = nullptr,
-                                        sim::TraceRecorder* trace = nullptr,
-                                        int trace_pid_base = 0);
+                                        int trace_pid_base = 0,
+                                        RingScope scope = RingScope::kNode);
 PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,
                                   int64_t num_tiles, uint64_t tile_bytes,
                                   int64_t tile_elems, const HierConfig& cfg,

@@ -88,7 +88,8 @@ TEST(HierCollectives, HierarchicalAllGatherBeatsFlatAtTwoByEight) {
   const HierConfig cfg;
   // Paper-scale shard: 32 tiles x 512 KiB = 16 MiB per rank.
   const TimeNs hier = SimulateHierAllGather(spec, 32, 512 << 10, cfg);
-  const TimeNs flat = SimulateFlatAllGather(spec, 32, 512 << 10, cfg);
+  const TimeNs flat =
+      SimulateHierAllGather(spec, 32, 512 << 10, cfg, RingScope::kWorld);
   std::printf("AG 2x8: hier %.3f ms, flat %.3f ms\n", hier / 1e6,
               flat / 1e6);
   EXPECT_GT(hier, 0);
@@ -103,7 +104,8 @@ TEST(HierCollectives, HierarchicalReduceScatterBeatsFlatAtTwoByEight) {
   const HierConfig cfg;
   // RS input: one tile per destination rank per tile-slot.
   const TimeNs hier = SimulateHierReduceScatter(spec, 32, 512 << 10, cfg);
-  const TimeNs flat = SimulateFlatReduceScatter(spec, 32, 512 << 10, cfg);
+  const TimeNs flat =
+      SimulateHierReduceScatter(spec, 32, 512 << 10, cfg, RingScope::kWorld);
   std::printf("RS 2x8: hier %.3f ms, flat %.3f ms\n", hier / 1e6,
               flat / 1e6);
   EXPECT_GT(hier, 0);
@@ -121,15 +123,17 @@ TEST(HierCollectives, SingleNodeDegeneratesWithoutDeadlock) {
 
 // Degenerate single-node topology: with num_nodes() == 1 the hierarchical
 // collectives skip the rail stage entirely (no self-exchange over the NIC),
-// leaving exactly the flat single-stage NVLink ring — the makespans must be
-// identical, not merely close.
+// leaving exactly the flat single-stage NVLink ring — the node-scoped and
+// world-scoped rings must be identical, not merely close.
 TEST(HierCollectives, SingleNodeHierMatchesFlatTiming) {
   const MachineSpec spec = MachineSpec::H800x8();  // 1x8
   const HierConfig cfg;
   EXPECT_EQ(SimulateHierAllGather(spec, 16, 256 << 10, cfg),
-            SimulateFlatAllGather(spec, 16, 256 << 10, cfg));
+            SimulateHierAllGather(spec, 16, 256 << 10, cfg,
+                                  RingScope::kWorld));
   EXPECT_EQ(SimulateHierReduceScatter(spec, 16, 256 << 10, cfg),
-            SimulateFlatReduceScatter(spec, 16, 256 << 10, cfg));
+            SimulateHierReduceScatter(spec, 16, 256 << 10, cfg,
+                                      RingScope::kWorld));
 }
 
 TEST(HierCollectives, DeterministicAcrossRuns) {
@@ -256,11 +260,12 @@ TEST(PayloadMode, DpAllReduceBitExactAtTwoByEight) {
 TEST(PayloadMode, FlatCollectivesBitExactAtTwoByFour) {
   const MachineSpec spec = TwoNodeSpec(4);
   const HierConfig cfg;
-  const PayloadReport ag = ValidateFlatAllGather(spec, 6, 16 << 10, 8, cfg);
+  const PayloadReport ag = ValidateHierAllGather(
+      spec, 6, 16 << 10, 8, cfg, nullptr, nullptr, 0, RingScope::kWorld);
   EXPECT_TRUE(ag.bit_exact);
   EXPECT_EQ(ag.violations, 0u);
-  const PayloadReport rs =
-      ValidateFlatReduceScatter(spec, 6, 16 << 10, 8, cfg);
+  const PayloadReport rs = ValidateHierReduceScatter(
+      spec, 6, 16 << 10, 8, cfg, nullptr, nullptr, 0, RingScope::kWorld);
   EXPECT_TRUE(rs.bit_exact);
   EXPECT_EQ(rs.violations, 0u);
 }
@@ -301,10 +306,10 @@ TEST(PayloadMode, ThreeNodeTopologyStaysBitExact) {
   EXPECT_EQ(ar.violations, 0u);
   // The injected fault stays a *single* chunk even with two rail peers per
   // sender (scoped to the first rail exchange) and is still caught.
-  HierConfig fault = cfg;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport f = ValidateHierAllGather(spec, 5, 16 << 10, 4, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
+  const PayloadReport f =
+      ValidateHierAllGather(spec, 5, 16 << 10, 4, cfg, &fault);
   EXPECT_GE(f.violations, 1u);
 }
 
@@ -350,42 +355,29 @@ TEST(PayloadMode, PayloadDoesNotPerturbTiming) {
 // §4.2 fault injection on the NIC rail stage
 // ---------------------------------------------------------------------------
 
+// A FaultPlan::ReorderRailChunk entry publishes one rail chunk's arrival
+// when its send starts; the checker must catch the early read downstream.
 TEST(FaultInjection, EagerRailPublishCaughtOnHierAllGather) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport r =
-      ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10, 8, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
+  const PayloadReport r = ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10,
+                                                8, HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 
 TEST(FaultInjection, EagerRailPublishCaughtOnHierReduceScatter) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 3;
-  fault.unsafe_rail_chunk = 1;
-  const PayloadReport r =
-      ValidateHierReduceScatter(TwoNodeSpec(8), 12, 16 << 10, 8, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/3, /*chunk=*/1);
+  const PayloadReport r = ValidateHierReduceScatter(
+      TwoNodeSpec(8), 12, 16 << 10, 8, HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 
 TEST(FaultInjection, EagerRailPublishCaughtOnDpAllReduce) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 8;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport r =
-      ValidateDpAllReduce(TwoNodeSpec(8), 16, 16 << 10, 8, fault);
-  EXPECT_GE(r.violations, 1u);
-}
-
-// The unsafe_rail_* knobs are a shim over sim::FaultPlan::ReorderRailChunk:
-// the same reorder injected through a World-attached plan must be caught
-// identically, with the legacy knobs left untouched.
-TEST(FaultInjection, ReorderViaWorldPlanMatchesLegacyKnob) {
-  sim::FaultPlan plan;
-  plan.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
-  const PayloadReport r =
-      ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10, 8, HierConfig{},
-                            &plan);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/8, /*chunk=*/0);
+  const PayloadReport r = ValidateDpAllReduce(TwoNodeSpec(8), 16, 16 << 10,
+                                              8, HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 
@@ -457,10 +449,12 @@ TEST(FaultPlan, WorldRingUnderTransientsKeepsPinnedTimeline) {
                         /*spike_prob=*/0.1, /*spike_mult=*/3.0);
   plan.RandomTransients("nvlink", /*seed=*/8, /*drop_prob=*/0.05,
                         /*spike_prob=*/0.05, /*spike_mult=*/2.0);
-  const PayloadReport ag = ValidateFlatAllGather(spec, 32, 512 << 10, 8,
-                                                 HierConfig{}, &plan);
-  const PayloadReport rs = ValidateFlatReduceScatter(spec, 32, 512 << 10, 8,
-                                                     HierConfig{}, &plan);
+  const PayloadReport ag =
+      ValidateHierAllGather(spec, 32, 512 << 10, 8, HierConfig{}, &plan,
+                            nullptr, 0, RingScope::kWorld);
+  const PayloadReport rs =
+      ValidateHierReduceScatter(spec, 32, 512 << 10, 8, HierConfig{}, &plan,
+                                nullptr, 0, RingScope::kWorld);
   EXPECT_TRUE(ag.ok());
   EXPECT_TRUE(rs.ok());
   EXPECT_EQ(ag.makespan, 6028683);
@@ -519,8 +513,11 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   odd.intra_channels = 2;
   EXPECT_EQ(SimulateHierAllGather(two, 32, 512 << 10, def), 1875515);
   EXPECT_EQ(SimulateHierReduceScatter(two, 32, 512 << 10, def), 1991542);
-  EXPECT_EQ(SimulateFlatAllGather(two, 32, 512 << 10, def), 5654920);
-  EXPECT_EQ(SimulateFlatReduceScatter(two, 32, 512 << 10, def), 5669796);
+  EXPECT_EQ(SimulateHierAllGather(two, 32, 512 << 10, def, RingScope::kWorld),
+            5654920);
+  EXPECT_EQ(
+      SimulateHierReduceScatter(two, 32, 512 << 10, def, RingScope::kWorld),
+      5669796);
   EXPECT_EQ(SimulateHierAllGather(two, 24, 64 << 10, odd), 264898);
   EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 266257);
   EXPECT_EQ(SimulateHierAllGather(three, 5, 16 << 10, def), 37189);
@@ -548,10 +545,14 @@ TEST(HierConfigValidation, RejectsNonPositiveKnobsUpFront) {
   EXPECT_THROW(DpAllReduce(world, 8, 1 << 20, bad_intra), Error);
   HierConfig bad_channels;
   bad_channels.intra_channels = 0;
-  EXPECT_THROW(FlatAllGather(world, 8, 1 << 20, bad_channels), Error);
+  EXPECT_THROW(HierAllGather(world, 8, 1 << 20, bad_channels,
+                             RingScope::kWorld),
+               Error);
   HierConfig bad_reduce;
   bad_reduce.reduce_sms = 0;
-  EXPECT_THROW(FlatReduceScatter(world, 8, 1 << 20, bad_reduce), Error);
+  EXPECT_THROW(HierReduceScatter(world, 8, 1 << 20, bad_reduce,
+                                 RingScope::kWorld),
+               Error);
   // The message names the offending knob instead of a chunk-loop internal.
   try {
     HierAllGather ag(world, 8, 1 << 20, bad_nic);

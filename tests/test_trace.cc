@@ -222,7 +222,8 @@ TEST(TraceInvariance, MakespansBitwiseIdenticalAcrossAllCollectives) {
        }},
       {"flat_ag",
        [&](const sim::FaultPlan* p, TraceRecorder* t) {
-         return ValidateFlatAllGather(spec, tiles, tb, te, cfg, p, t);
+         return ValidateHierAllGather(spec, tiles, tb, te, cfg, p, t, 0,
+                                      RingScope::kWorld);
        }},
       {"hier_rs",
        [&](const sim::FaultPlan* p, TraceRecorder* t) {
@@ -230,7 +231,8 @@ TEST(TraceInvariance, MakespansBitwiseIdenticalAcrossAllCollectives) {
        }},
       {"flat_rs",
        [&](const sim::FaultPlan* p, TraceRecorder* t) {
-         return ValidateFlatReduceScatter(spec, tiles, tb, te, cfg, p, t);
+         return ValidateHierReduceScatter(spec, tiles, tb, te, cfg, p, t, 0,
+                                          RingScope::kWorld);
        }},
       {"dp_ar",
        [&](const sim::FaultPlan* p, TraceRecorder* t) {
