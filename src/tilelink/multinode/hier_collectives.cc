@@ -454,8 +454,10 @@ sim::Coro HierReduceScatter::RingReducer(rt::RankCtx& ctx) {
   const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
   int64_t cum = 0;
   while (cum < total) {
-    const int64_t tiles = std::min<int64_t>(cfg_.intra_chunk_tiles,
-                                            total - cum);
+    // Slices follow RingSend's chunk grid and never cross a ring step: the
+    // next step's arrivals are gated on this step's reduction.
+    const int64_t tiles = std::min<int64_t>(
+        cfg_.intra_chunk_tiles, group_tiles_ - cum % group_tiles_);
     co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
         static_cast<uint64_t>(cum + tiles));
     const sim::TimeNs wake = ctx.sim()->Now();

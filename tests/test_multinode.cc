@@ -136,6 +136,38 @@ TEST(HierCollectives, SingleNodeHierMatchesFlatTiming) {
                                       RingScope::kWorld));
 }
 
+// The ring reducer's slices follow the ring-step grid: the next step's
+// arrivals are gated on this step's reduction, so a slice straddling a step
+// boundary would wait on itself. Groups that do not divide into
+// intra_chunk_tiles (1 tile with the default chunk of 2; 7 tiles with
+// chunk 5) used to deadlock; both ring scopes must complete bit-exactly.
+TEST(HierCollectives, RingReducerNeverStraddlesRingSteps) {
+  MachineSpec one_by_six = MachineSpec::H800x8();
+  one_by_six.num_devices = 6;
+  one_by_six.devices_per_node = 6;
+  HierConfig chunk5;
+  chunk5.intra_chunk_tiles = 5;
+  struct Case {
+    MachineSpec spec;
+    int64_t tiles;
+    HierConfig cfg;
+    RingScope scope;
+  };
+  const Case cases[] = {
+      {MachineSpec::H800x8(), 1, HierConfig{}, RingScope::kNode},
+      {one_by_six, 7, chunk5, RingScope::kNode},
+      {MachineSpec::H800x16(), 1, HierConfig{}, RingScope::kWorld},
+  };
+  for (const Case& c : cases) {
+    const PayloadReport r = ValidateHierReduceScatter(
+        c.spec, c.tiles, 16 << 10, 4, c.cfg, nullptr, nullptr, 0, c.scope);
+    EXPECT_TRUE(r.ok()) << c.spec.num_devices << " ranks, " << c.tiles
+                        << " tiles";
+    EXPECT_EQ(r.makespan, SimulateHierReduceScatter(c.spec, c.tiles, 16 << 10,
+                                                    c.cfg, c.scope));
+  }
+}
+
 TEST(HierCollectives, DeterministicAcrossRuns) {
   const MachineSpec spec = TwoNodeSpec(4);
   const HierConfig cfg;
@@ -499,7 +531,8 @@ TEST(FaultPlan, RailDeathFailsOverBitExact) {
 // The collectives were rewritten on the builder layer's tile-centric link
 // roles (NicRailRole / NvlinkRingRole streams). The refactor must be
 // behavior-preserving: these exact makespans were recorded from the
-// pre-refactor implementation (PR 4) and must not drift by a nanosecond.
+// pre-refactor implementation and must not drift by a nanosecond (the one
+// re-pin below is a deliberate scheduling fix, explained in place).
 TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   const MachineSpec two = MachineSpec::H800x16();
   MachineSpec three = MachineSpec::H800x8();
@@ -519,7 +552,10 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
       SimulateHierReduceScatter(two, 32, 512 << 10, def, RingScope::kWorld),
       5669796);
   EXPECT_EQ(SimulateHierAllGather(two, 24, 64 << 10, odd), 264898);
-  EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 266257);
+  // 266257 before the ring reducer's slices were clamped to ring steps:
+  // the 48-tile group split by chunk 5 leaves a 3-tile slice per step
+  // instead of slices straddling two steps.
+  EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 264018);
   EXPECT_EQ(SimulateHierAllGather(three, 5, 16 << 10, def), 37189);
   EXPECT_EQ(SimulateHierReduceScatter(three, 5, 16 << 10, def), 38601);
   const tl::TuneCandidate c = DefaultDpSyncCandidate();
