@@ -154,7 +154,6 @@ HierAllGather::HierAllGather(rt::World& world, int64_t num_tiles,
                              uint64_t tile_bytes, const HierConfig& cfg,
                              RingScope scope)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg),
       nodes_(ValidatedNodes(world.spec(), cfg, scope)),
       per_node_(world.size() / nodes_),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),

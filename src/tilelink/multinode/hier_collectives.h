@@ -105,7 +105,6 @@ class HierAllGather {
   rt::World& world_;
   int64_t num_tiles_;
   uint64_t tile_bytes_;
-  HierConfig cfg_;
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
   tl::NvlinkRingRole ring_role_;

@@ -140,7 +140,7 @@ TEST(HierCollectives, SingleNodeHierMatchesFlatTiming) {
 // arrivals are gated on this step's reduction, so a slice straddling a step
 // boundary would wait on itself. Groups that do not divide into
 // intra_chunk_tiles (1 tile with the default chunk of 2; 7 tiles with
-// chunk 5) used to deadlock; both ring scopes must complete bit-exactly.
+// chunk 5) must complete bit-exactly in both ring scopes.
 TEST(HierCollectives, RingReducerNeverStraddlesRingSteps) {
   MachineSpec one_by_six = MachineSpec::H800x8();
   one_by_six.num_devices = 6;
@@ -531,8 +531,8 @@ TEST(FaultPlan, RailDeathFailsOverBitExact) {
 // The collectives were rewritten on the builder layer's tile-centric link
 // roles (NicRailRole / NvlinkRingRole streams). The refactor must be
 // behavior-preserving: these exact makespans were recorded from the
-// pre-refactor implementation and must not drift by a nanosecond (the one
-// re-pin below is a deliberate scheduling fix, explained in place).
+// pre-refactor implementation and must not drift by a nanosecond, except
+// the odd-knob ReduceScatter, re-pinned for the step-aligned ring reducer.
 TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   const MachineSpec two = MachineSpec::H800x16();
   MachineSpec three = MachineSpec::H800x8();
@@ -552,9 +552,8 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
       SimulateHierReduceScatter(two, 32, 512 << 10, def, RingScope::kWorld),
       5669796);
   EXPECT_EQ(SimulateHierAllGather(two, 24, 64 << 10, odd), 264898);
-  // 266257 before the ring reducer's slices were clamped to ring steps:
-  // the 48-tile group split by chunk 5 leaves a 3-tile slice per step
-  // instead of slices straddling two steps.
+  // The ring reducer's slices stop at ring-step boundaries: this 48-tile
+  // group reduces as nine 5-tile slices and a 3-tile tail per step.
   EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 264018);
   EXPECT_EQ(SimulateHierAllGather(three, 5, 16 << 10, def), 37189);
   EXPECT_EQ(SimulateHierReduceScatter(three, 5, 16 << 10, def), 38601);
