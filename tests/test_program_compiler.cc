@@ -5,6 +5,10 @@
 // the safe compilation of the same program is clean.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "runtime/world.h"
 #include "tensor/tensor_ops.h"
@@ -207,6 +211,224 @@ TEST(FaultInjection, UnsafeReorderIsDetectedByChecker) {
   // flight: the checker must flag a read-before-release.
   EXPECT_GT(RunRaceProbe(true), 0u)
       << "unsafe reordering went undetected by the consistency checker";
+}
+
+// ---------------------------------------------------------------------- //
+// Interpreter semantics: op order through nested loops, loop-variable
+// resets, a pinned timeline, error propagation, and when load/store
+// DataSpecs are built.
+// ---------------------------------------------------------------------- //
+
+struct OpRecord {
+  std::string label;
+  std::array<int64_t, 4> loop;
+  bool operator==(const OpRecord&) const = default;
+};
+
+// An elementwise op that costs `ns` and appends (label, env.loop) to
+// `log[env.rank]` when it runs.
+Op RecordingOp(const std::string& label, sim::TimeNs ns,
+               std::vector<std::vector<OpRecord>>* log) {
+  return ops::Elementwise(
+      label, [ns](const Env&, const sim::CostModel&) { return ns; },
+      [label, log](const Env& e) {
+        (*log)[static_cast<size_t>(e.rank)].push_back(OpRecord{label, e.loop});
+      });
+}
+
+// Runs `spec` once per rank of a 2-rank functional world and returns the
+// makespan; `events` (when set) receives the simulator's event count.
+sim::TimeNs RunTwoRanks(FusedKernelSpec spec, ExecMode mode,
+                        uint64_t* events = nullptr, bool checker = false,
+                        int num_pc = 4) {
+  World world(sim::MachineSpec::Test(2, 4), mode);
+  world.checker().set_enabled(checker);
+  CompiledKernel kernel = Compiler().Compile(std::move(spec));
+  auto bcs = BlockChannel::CreateSymmetric(world, "interp", num_pc, 1, 1);
+  const sim::TimeNs t = world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
+    auto state = kernel.Launch(ctx, *ctx.stream,
+                               bcs[static_cast<size_t>(ctx.rank)]);
+    co_await state->Wait();
+  });
+  if (events != nullptr) *events = world.sim().processed_events();
+  return t;
+}
+
+TEST(ProgramInterpreter, NestedLoopsRunOpsInProgramOrder) {
+  std::vector<std::vector<OpRecord>> log(2);
+  TileProgramBuilder b;
+  b.Add(RecordingOp("begin", 3, &log));
+  b.For("a", [](const Env&) { return int64_t{2}; },
+        [&](TileProgramBuilder& ba) {
+          ba.Add(RecordingOp("A", 5, &log));
+          // Inner trip count reads the outer loop variable.
+          ba.For("b", [](const Env& e) { return 1 + e.iv(0); },
+                 [&](TileProgramBuilder& bb) {
+                   bb.For("zero", [](const Env&) { return int64_t{0}; },
+                          [&](TileProgramBuilder& bz) {
+                            bz.Add(RecordingOp("never", 7, &log));
+                          });
+                   bb.Add(RecordingOp("B", 0, &log));
+                   bb.For("c", [](const Env&) { return int64_t{2}; },
+                          [&](TileProgramBuilder& bc) {
+                            bc.For("d",
+                                   [](const Env& e) {
+                                     return e.iv(2) + e.iv(1) + 1;
+                                   },
+                                   [&](TileProgramBuilder& bd) {
+                                     bd.Add(RecordingOp("D", 2, &log));
+                                   });
+                            bc.Add(RecordingOp("C", 1, &log));
+                          });
+                   bb.Add(RecordingOp("B2", 0, &log));
+                 });
+          ba.Add(RecordingOp("A2", 4, &log));
+        });
+  b.Add(RecordingOp("end", 3, &log));
+  FusedKernelSpec spec;
+  spec.name = "order";
+  spec.roles.push_back(Role{"r", 1, b.Build()});
+  RunTwoRanks(std::move(spec), ExecMode::kFunctional);
+
+  using L = std::array<int64_t, 4>;
+  std::vector<OpRecord> want;
+  want.push_back({"begin", L{0, 0, 0, 0}});
+  for (int64_t a = 0; a < 2; ++a) {
+    want.push_back({"A", L{a, 0, 0, 0}});
+    for (int64_t bi = 0; bi < 1 + a; ++bi) {
+      want.push_back({"B", L{a, bi, 0, 0}});
+      for (int64_t c = 0; c < 2; ++c) {
+        for (int64_t d = 0; d < c + bi + 1; ++d) {
+          want.push_back({"D", L{a, bi, c, d}});
+        }
+        // The depth-3 loop variable reads 0 again after its loop.
+        want.push_back({"C", L{a, bi, c, 0}});
+      }
+      want.push_back({"B2", L{a, bi, 0, 0}});
+    }
+    want.push_back({"A2", L{a, 0, 0, 0}});
+  }
+  want.push_back({"end", L{0, 0, 0, 0}});
+  for (int r = 0; r < 2; ++r) {
+    const std::vector<OpRecord>& got = log[static_cast<size_t>(r)];
+    ASSERT_EQ(got.size(), want.size()) << "rank " << r;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].label, want[i].label) << "rank " << r << " op " << i;
+      EXPECT_EQ(got[i].loop, want[i].loop)
+          << "rank " << r << " op " << i << " (" << want[i].label << ")";
+    }
+  }
+}
+
+// Two roles on two ranks: a comm block pushes four tiles to its peer
+// (alternating SM-driven and async-DMA pushes, each notifying on landing)
+// while two compute blocks wait for each tile, load it and run a
+// tile-dependent number of MMA steps.
+FusedKernelSpec PinnedPipelineSpec() {
+  TileProgramBuilder comm;
+  comm.For("t", [](const Env&) { return int64_t{4}; },
+           [](TileProgramBuilder& body) {
+             for (const bool dma : {false, true}) {
+               body.Add(ops::TilePushData(
+                   dma ? "push_dma" : "push_sm",
+                   [dma](const Env& e) {
+                     DataSpec d;
+                     d.src_rank = e.rank;
+                     d.dst_rank = 1 - e.rank;
+                     d.bytes = static_cast<uint64_t>(
+                         (dma ? 96 : 32) * 1024 * (1 + e.iv(0)));
+                     return d;
+                   },
+                   [dma](const Env& e) {
+                     NotifySpec s;
+                     s.entries.push_back(
+                         NotifyEntry{SignalSpace::kProducerConsumer,
+                                     {1 - e.rank},
+                                     static_cast<int>(e.iv(0)),
+                                     1});
+                     return s;
+                   },
+                   dma));
+             }
+           });
+  TileProgramBuilder compute;
+  compute.For(
+      "t", [](const Env&) { return int64_t{4}; },
+      [](TileProgramBuilder& body) {
+        body.Add(ops::ConsumerTileWait("wait", [](const Env& e) {
+          WaitSpec s;
+          s.waits.push_back(ChannelWait{static_cast<int>(e.iv(0)), 2});
+          return s;
+        }));
+        body.Add(ops::Load("load", /*acquire=*/true));
+        body.For("k", [](const Env& e) { return 1 + e.iv(0) + e.block_id; },
+                 [](TileProgramBuilder& kb) {
+                   kb.Add(ops::Mma("mma",
+                                   [](const Env& e, const sim::CostModel&) {
+                                     return sim::TimeNs{700 + 13 * e.iv(1)};
+                                   }));
+                 });
+        body.Add(ops::Store("store"));
+      });
+  FusedKernelSpec spec;
+  spec.name = "pinned";
+  spec.roles.push_back(Role{"comm", 1, comm.Build()});
+  spec.roles.push_back(Role{"compute", 2, compute.Build()});
+  return spec;
+}
+
+// Pinned exactly: the interpreter's suspension points (delays, waits,
+// transfers, DMA hand-offs) fix every (time, seq) key, so any change to how
+// a block program is walked shows up in the makespan or the event count.
+TEST(ProgramInterpreter, PipelineTimelineIsPinned) {
+  uint64_t events = 0;
+  const sim::TimeNs t =
+      RunTwoRanks(PinnedPipelineSpec(), ExecMode::kTimingOnly, &events);
+  EXPECT_EQ(t, 32393);
+  EXPECT_EQ(events, 180u);
+}
+
+TEST(ProgramInterpreter, PushWithoutDataSpecThrowsOutOfRunSpmd) {
+  TileProgramBuilder b;
+  b.Add(ops::Mma("warmup", [](const Env&, const sim::CostModel&) {
+    return sim::TimeNs{50};
+  }));
+  b.Add(ops::TilePushData("bare_push", nullptr));
+  FusedKernelSpec spec;
+  spec.name = "bare";
+  spec.roles.push_back(Role{"r", 1, b.Build()});
+  try {
+    RunTwoRanks(std::move(spec), ExecMode::kTimingOnly);
+    FAIL() << "expected an error from the push without a DataSpec";
+  } catch (const sim::DeadlockError& e) {
+    FAIL() << "push without a DataSpec surfaced as a deadlock: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bare_push"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ProgramInterpreter, UnsatisfiableWaitRaisesDeadlockNamingItsFlag) {
+  TileProgramBuilder b;
+  b.For("t", [](const Env&) { return int64_t{2}; },
+        [](TileProgramBuilder& body) {
+          body.Add(ops::ConsumerTileWait("stuck", [](const Env& e) {
+            WaitSpec s;
+            // Channel 2 is never notified; iteration 0 waits forever.
+            s.waits.push_back(ChannelWait{static_cast<int>(2 + e.iv(0)), 1});
+            return s;
+          }));
+        });
+  FusedKernelSpec spec;
+  spec.name = "stuck";
+  spec.roles.push_back(Role{"r", 1, b.Build()});
+  try {
+    RunTwoRanks(std::move(spec), ExecMode::kTimingOnly);
+    FAIL() << "expected DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("interp.pc[2]"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Compiler, UnsafeModeChangesListingOrder) {
