@@ -132,12 +132,16 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
     cfg.channels_per_rank = 4;
     cfg.comm = tl::CommResource::kDma;
     tl::AgGemm kernel(world, cfg);
+    const uint64_t frames0 = sim::FramesAllocated();
     const sim::TimeNs t = world.RunSpmd(
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
     benchmark::DoNotOptimize(t);
+    const auto events = static_cast<double>(world.sim().processed_events());
     state.counters["sim_ms"] = static_cast<double>(t) / 1e6;
-    state.counters["events"] =
-        static_cast<double>(world.sim().processed_events());
+    state.counters["events"] = events;
+    // Coroutine frames per simulated event (CI stage 4 gates <= 0.5).
+    state.counters["frames_per_event"] =
+        static_cast<double>(sim::FramesAllocated() - frames0) / events;
   }
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);

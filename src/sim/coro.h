@@ -11,6 +11,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <utility>
@@ -28,6 +29,11 @@ class Simulator;
 // recycling them removes the allocator from the event-loop hot path.
 void* FramePoolAlloc(std::size_t size);
 void FramePoolFree(void* ptr, std::size_t size) noexcept;
+
+// Coroutine frames allocated on the calling thread so far (every frame,
+// pooled or not). Read it before and after a run to count that run's
+// frames.
+std::uint64_t FramesAllocated() noexcept;
 
 template <typename A>
 concept BindableAwaitable = requires(A a, Simulator* s) { a.Bind(s); };

@@ -64,7 +64,14 @@ inline std::size_t BucketOf(std::size_t size) {
 }  // namespace
 #endif  // TILELINK_FRAME_POOL_DISABLED
 
+namespace {
+thread_local std::uint64_t g_frames_allocated = 0;
+}  // namespace
+
+std::uint64_t FramesAllocated() noexcept { return g_frames_allocated; }
+
 void* FramePoolAlloc(std::size_t size) {
+  ++g_frames_allocated;
 #ifndef TILELINK_FRAME_POOL_DISABLED
   const std::size_t bucket = BucketOf(size);
   if (bucket < kFrameBuckets) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/coro_utils.h"
 #include "sim/trace.h"
 
 namespace tilelink::tl {
@@ -275,6 +274,19 @@ void FireNotify(const ExecCtx& ec, const NotifySpec& spec) {
   }
 }
 
+// Span of a transfer that started at `start` and has just landed.
+void TraceTransfer(const ExecCtx& ec, const std::string& label,
+                   sim::TimeNs start, const DataSpec& d, bool dma) {
+  if (ec.tr == nullptr) return;
+  std::vector<sim::TraceArg> args = {
+      sim::TraceArg::Num("bytes", static_cast<double>(d.bytes)),
+      sim::TraceArg::Num("src", d.src_rank),
+      sim::TraceArg::Num("dst", d.dst_rank)};
+  if (dma) args.push_back(sim::TraceArg::Str("dma", "1"));
+  ec.tr->AddSpan(ec.pid, ec.tid, label, start, ec.world->sim().Now(),
+                 sim::kCatComm, std::move(args));
+}
+
 // Async DMA push: runs as its own root coroutine; the issuing block has
 // already moved on (its functional payload was captured at issue time, when
 // the data was handed to the DMA queue). Release semantics: notify_after
@@ -293,153 +305,140 @@ sim::Coro AsyncPush(ExecCtx ec, DataSpec d, NotifySpec after,
                                                 world.spec().dma_efficiency));
   RecordWriteRuns(world, d, start, world.sim().Now(), label);
   world.checker().CloseWrite(wt);
-  if (ec.tr != nullptr) {
-    ec.tr->AddSpan(ec.pid, ec.tid, label, start, world.sim().Now(),
-                   sim::kCatComm,
-                   {sim::TraceArg::Num("bytes", static_cast<double>(d.bytes)),
-                    sim::TraceArg::Num("src", d.src_rank),
-                    sim::TraceArg::Num("dst", d.dst_rank),
-                    sim::TraceArg::Str("dma", "1")});
-  }
+  TraceTransfer(ec, label, start, d, /*dma=*/true);
   FireNotify(ec, after);
 }
 
-sim::Coro ExecOp(const ExecCtx& ec, Env& env, const Op& op) {
-  rt::World& world = *ec.world;
-  switch (op.kind) {
-    case OpKind::kNop:
-      break;
-    case OpKind::kConsumerWait:
-    case OpKind::kPeerWait: {
-      const WaitSpec spec = op.wait(env);
-      rt::SignalSet* sig = ec.bc->local(spec.space);
-      for (const ChannelWait& w : spec.waits) {
-        co_await sig->Wait(w.channel, w.threshold);
-      }
-      break;
-    }
-    case OpKind::kProducerNotify:
-    case OpKind::kPeerNotify: {
-      // Release: all prior ops of this block already completed (the
-      // coroutine is sequential); remote visibility latency is modeled
-      // inside SignalSet::AddFrom.
-      FireNotify(ec, op.notify(env));
-      break;
-    }
-    case OpKind::kLoad: {
-      if (op.data) {
-        CheckReadRuns(world, op.data(env), world.sim().Now(), op.label);
-      }
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      if (op.math && world.functional()) op.math(env);
-      break;
-    }
-    case OpKind::kStore: {
-      if (op.math && world.functional()) op.math(env);
-      if (op.data) {
-        RecordWriteRuns(world, op.data(env), world.sim().Now(),
-                        world.sim().Now(), op.label);
-      }
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      break;
-    }
-    case OpKind::kMma:
-    case OpKind::kElementwise: {
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      if (op.math && world.functional()) op.math(env);
-      break;
-    }
-    case OpKind::kPushData:
-    case OpKind::kPullData: {
-      TL_CHECK_MSG(static_cast<bool>(op.data),
-                   "push/pull op '" << op.label << "' lacks a DataSpec");
-      const DataSpec d = op.data(env);
-      if (op.async_dma) {
-        // Hand off to a copy engine and continue; the payload value is
-        // captured now (it enters the DMA queue), the completion notify
-        // fires with release semantics when the data lands.
-        NotifySpec after;
-        if (op.notify_after) after = op.notify_after(env);
-        if (op.math && world.functional()) op.math(env);
-        world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
-                          "async_push");
-        break;
-      }
-      const sim::TimeNs start = world.sim().Now();
-      CheckReadRuns(world, d, start, op.label);
-      const uint64_t wt =
-          d.write_buf != nullptr ? world.checker().OpenWrite(start) : 0;
-      co_await world.Transfer(d.src_rank, d.dst_rank, d.bytes);
-      if (op.math && world.functional()) op.math(env);
-      RecordWriteRuns(world, d, start, world.sim().Now(), op.label);
-      world.checker().CloseWrite(wt);
-      if (ec.tr != nullptr) {
-        ec.tr->AddSpan(
-            ec.pid, ec.tid, op.label, start, world.sim().Now(), sim::kCatComm,
-            {sim::TraceArg::Num("bytes", static_cast<double>(d.bytes)),
-             sim::TraceArg::Num("src", d.src_rank),
-             sim::TraceArg::Num("dst", d.dst_rank)});
-      }
-      if (op.notify_after) {
-        FireNotify(ec, op.notify_after(env));
-      }
-      break;
-    }
-  }
-}
-
-sim::Coro ExecStmts(const ExecCtx& ec, Env& env,
-                    const std::vector<Stmt>& stmts) {
-  for (const Stmt& s : stmts) {
-    if (s.loop) {
-      const int64_t trips = s.loop->trip_count(env);
-      for (int64_t i = 0; i < trips; ++i) {
-        env.loop[static_cast<size_t>(s.loop->depth)] = i;
-        co_await ExecStmts(ec, env, s.loop->body);
-      }
-      env.loop[static_cast<size_t>(s.loop->depth)] = 0;
-      continue;
-    }
-    co_await ExecOp(ec, env, *s.op);
-  }
-}
-
+// Runs one block's program as a single coroutine. Ops execute inline and
+// only the real suspension points (delays, flag waits, transfers) suspend
+// it, so a block allocates one frame however many ops and loop iterations
+// it runs. A loop's trip count is evaluated once on entry; env.loop[depth]
+// holds its iteration and reads 0 again once the loop is done.
 sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
                    std::string role_label) {
-  const sim::TimeNs t0 = ec.world->sim().Now();
+  rt::World& world = *ec.world;
+  const sim::TimeNs block_t0 = world.sim().Now();
   std::shared_ptr<void> scratch;
   if (program->scratch_factory) {
     scratch = program->scratch_factory(env);
     env.scratch = scratch.get();
   }
   co_await sim::Delay{ec.cost.BlockPrologue()};
-  co_await ExecStmts(ec, env, program->stmts);
+
+  // stack[0] walks the top level and stack[d + 1] the body of the open
+  // depth-d loop (TileProgramBuilder nests at most 4 deep).
+  struct Level {
+    const std::vector<Stmt>* stmts;
+    size_t next;  // next statement to run
+    int64_t trips;
+  };
+  std::array<Level, 5> stack{};
+  stack[0] = Level{&program->stmts, 0, 0};
+  size_t top = 0;
+  while (true) {
+    Level& lv = stack[top];
+    if (lv.next == lv.stmts->size()) {
+      if (top == 0) break;
+      int64_t& iv = env.loop[top - 1];
+      if (++iv < lv.trips) {
+        lv.next = 0;
+      } else {
+        iv = 0;
+        --top;
+      }
+      continue;
+    }
+    const Stmt& s = (*lv.stmts)[lv.next++];
+    if (s.loop) {
+      TL_CHECK_EQ(static_cast<size_t>(s.loop->depth), top);
+      const int64_t trips = s.loop->trip_count(env);
+      env.loop[top] = 0;
+      if (trips > 0) stack[++top] = Level{&s.loop->body, 0, trips};
+      continue;
+    }
+    const Op& op = *s.op;
+    switch (op.kind) {
+      case OpKind::kNop:
+        break;
+      case OpKind::kConsumerWait:
+      case OpKind::kPeerWait: {
+        const WaitSpec spec = op.wait(env);
+        rt::SignalSet* sig = ec.bc->local(spec.space);
+        for (const ChannelWait& w : spec.waits) {
+          co_await sig->Wait(w.channel, w.threshold);
+        }
+        break;
+      }
+      case OpKind::kProducerNotify:
+      case OpKind::kPeerNotify:
+        // Release: all prior ops of this block already completed (the
+        // coroutine is sequential); remote visibility latency is modeled
+        // inside SignalSet::AddFrom.
+        FireNotify(ec, op.notify(env));
+        break;
+      case OpKind::kLoad:
+      case OpKind::kStore:
+      case OpKind::kMma:
+      case OpKind::kElementwise: {
+        // A store's payload runs before its cost, every other op's after.
+        // Load/store DataSpecs only feed the checker: built only when on.
+        const bool store = op.kind == OpKind::kStore;
+        if (store && op.math && world.functional()) op.math(env);
+        if (op.data && world.checker().enabled()) {
+          const sim::TimeNs now = world.sim().Now();
+          if (op.kind == OpKind::kLoad) {
+            CheckReadRuns(world, op.data(env), now, op.label);
+          } else if (store) {
+            RecordWriteRuns(world, op.data(env), now, now, op.label);
+          }
+        }
+        if (op.cost) {
+          const sim::TimeNs t0 = world.sim().Now();
+          co_await sim::Delay{op.cost(env, ec.cost)};
+          if (ec.tr != nullptr) {
+            ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
+                           sim::kCatCompute);
+          }
+        }
+        if (!store && op.math && world.functional()) op.math(env);
+        break;
+      }
+      case OpKind::kPushData:
+      case OpKind::kPullData: {
+        TL_CHECK_MSG(static_cast<bool>(op.data),
+                     "push/pull op '" << op.label << "' lacks a DataSpec");
+        const DataSpec d = op.data(env);
+        if (op.async_dma) {
+          // Hand off to a copy engine and continue; the payload value is
+          // captured now (it enters the DMA queue), the completion notify
+          // fires with release semantics when the data lands.
+          NotifySpec after;
+          if (op.notify_after) after = op.notify_after(env);
+          if (op.math && world.functional()) op.math(env);
+          world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
+                            "async_push");
+          break;
+        }
+        const sim::TimeNs start = world.sim().Now();
+        CheckReadRuns(world, d, start, op.label);
+        const uint64_t wt =
+            d.write_buf != nullptr ? world.checker().OpenWrite(start) : 0;
+        co_await world.Transfer(d.src_rank, d.dst_rank, d.bytes);
+        if (op.math && world.functional()) op.math(env);
+        RecordWriteRuns(world, d, start, world.sim().Now(), op.label);
+        world.checker().CloseWrite(wt);
+        TraceTransfer(ec, op.label, start, d, /*dma=*/false);
+        if (op.notify_after) FireNotify(ec, op.notify_after(env));
+        break;
+      }
+    }
+  }
+
   co_await sim::Delay{ec.cost.BlockEpilogue()};
   if (ec.tr != nullptr) {
     // Structural span: SM-resident time of this role block (kCatTask so the
     // profiler's critical path walks the leaf op spans instead).
-    ec.tr->AddSpan(ec.pid, ec.tid, role_label, t0, ec.world->sim().Now(),
+    ec.tr->AddSpan(ec.pid, ec.tid, role_label, block_t0, world.sim().Now(),
                    sim::kCatTask,
                    {sim::TraceArg::Num("block", env.block_id)});
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -429,6 +430,34 @@ TEST(ProgramInterpreter, UnsatisfiableWaitRaisesDeadlockNamingItsFlag) {
     EXPECT_NE(std::string(e.what()).find("interp.pc[2]"), std::string::npos)
         << e.what();
   }
+}
+
+// Load and store DataSpecs only feed the consistency checker, so they are
+// built only while it is enabled.
+TEST(ProgramInterpreter, LoadStoreDataBuiltOnlyForTheChecker) {
+  auto data_calls = [](ExecMode mode, bool checker) {
+    auto calls = std::make_shared<int>(0);
+    auto count = [calls](const Env&) {
+      ++*calls;
+      return DataSpec{};
+    };
+    TileProgramBuilder b;
+    b.For("t", [](const Env&) { return int64_t{3}; },
+          [&](TileProgramBuilder& body) {
+            body.Add(ops::Load("load", /*acquire=*/false, count));
+            body.Add(ops::Store("store", count));
+          });
+    FusedKernelSpec spec;
+    spec.name = "lazy_data";
+    spec.roles.push_back(Role{"r", 1, b.Build()});
+    RunTwoRanks(std::move(spec), mode, nullptr, checker);
+    return *calls;
+  };
+  EXPECT_EQ(data_calls(ExecMode::kTimingOnly, false), 0);
+  EXPECT_EQ(data_calls(ExecMode::kFunctional, false), 0);
+  // 2 ranks x 3 iterations x (load + store).
+  EXPECT_EQ(data_calls(ExecMode::kTimingOnly, true), 12);
+  EXPECT_EQ(data_calls(ExecMode::kFunctional, true), 12);
 }
 
 TEST(Compiler, UnsafeModeChangesListingOrder) {

@@ -1,18 +1,22 @@
 // Unit tests for the discrete-event simulator core: event ordering
 // (including reserved-seq scheduling), coroutine composition, FIFO
-// resources, flags, deadlock detection, and the coroutine frame pool's
-// lifetime.
+// resources, flags, deadlock detection, the coroutine frame pool's
+// lifetime, and the frame counter (a tile-program block is one frame).
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <thread>
 #include <vector>
 
+#include "runtime/world.h"
 #include "sim/coro.h"
 #include "sim/coro_utils.h"
 #include "sim/flag.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
+#include "tilelink/block_channel.h"
+#include "tilelink/primitives.h"
+#include "tilelink/program.h"
 
 namespace tilelink::sim {
 namespace {
@@ -118,6 +122,59 @@ Coro CatchingParent(bool* caught) {
   } catch (const Error&) {
     *caught = true;
   }
+}
+
+TEST(SimCore, FrameCounterCountsEveryCoroutineFrame) {
+  Simulator sim;
+  TimeNs child = -1, parent = -1;
+  const uint64_t before = FramesAllocated();
+  sim.Spawn(Outer(&sim, &child, &parent));  // Outer plus its Nested child
+  sim.Run();
+  EXPECT_EQ(FramesAllocated() - before, 2u);
+}
+
+// The tile-program interpreter runs each block as one coroutine: a block of
+// thousands of costed ops in nested loops allocates a handful of frames
+// (block wrapper, program walk, launch bookkeeping), not one per op or
+// loop iteration.
+TEST(SimCore, BlockProgramAllocatesFramesPerBlockNotPerOp) {
+  constexpr int kRanks = 2;
+  constexpr int kBlocks = 3;
+  constexpr int64_t kOuter = 40, kInner = 25;  // 2 ops x 1000 iterations
+  tl::TileProgramBuilder b;
+  b.For("i", [](const tl::Env&) { return kOuter; },
+        [](tl::TileProgramBuilder& outer) {
+          outer.For("j", [](const tl::Env&) { return kInner; },
+                    [](tl::TileProgramBuilder& inner) {
+                      inner.Add(tl::ops::Mma(
+                          "mma", [](const tl::Env&, const CostModel&) {
+                            return TimeNs{10};
+                          }));
+                      inner.Add(tl::ops::Elementwise(
+                          "epi", [](const tl::Env&, const CostModel&) {
+                            return TimeNs{3};
+                          }));
+                    });
+        });
+  tl::FusedKernelSpec spec;
+  spec.name = "frames";
+  spec.roles.push_back(tl::Role{"compute", kBlocks, b.Build()});
+  const tl::CompiledKernel kernel = tl::Compiler().Compile(std::move(spec));
+
+  rt::World world(MachineSpec::Test(kRanks, 8), rt::ExecMode::kTimingOnly);
+  auto bcs = tl::BlockChannel::CreateSymmetric(world, "frames", 1, 1, 1);
+  const uint64_t before = FramesAllocated();
+  const TimeNs t = world.RunSpmd([&](rt::RankCtx& ctx) -> Coro {
+    auto state = kernel.Launch(ctx, *ctx.stream,
+                               bcs[static_cast<size_t>(ctx.rank)]);
+    co_await state->Wait();
+  });
+  const uint64_t frames = FramesAllocated() - before;
+  EXPECT_GE(t, kOuter * kInner * 13);  // every op's cost was paid
+  constexpr uint64_t kTotalBlocks = kRanks * kBlocks;
+  EXPECT_LE(frames, 4 * kTotalBlocks + 8 * kRanks)
+      << frames << " frames for " << kTotalBlocks << " blocks of "
+      << 2 * kOuter * kInner << " ops";
 }
 
 TEST(SimCore, ChildExceptionPropagatesToParent) {
