@@ -17,9 +17,11 @@
 #      the simulator microbenchmarks, which fail the stage if the 512-flow
 #      network bench stops reporting wakes_per_flow or it exceeds 1.1 (one
 #      armed completion wake per fabric, not one event per flow per
-#      rebalance). fig11 also gates the parallel-tuning
-#      identity: the cold sweep at --tune-threads 8 must reproduce the
-#      serial sweep's cache bit-for-bit. Machine-readable results land in
+#      rebalance), or if the MLP-1 AG+GEMM simulation stops reporting
+#      frames_per_event or it exceeds 0.5 (one coroutine per tile-program
+#      block, not one frame per op or loop iteration). fig11 also gates the
+#      parallel-tuning identity: the cold sweep at --tune-threads 8 must
+#      reproduce the serial sweep's cache bit-for-bit. Machine-readable results land in
 #      build-ci/BENCH_*.json; fig11 warm-starts its tuned-config cache from
 #      build-ci/BENCH_fig11_cache.json when a previous run left one.
 #   5. 16-GPU smoke: the two-node fabric bench with --payload --fused —
@@ -92,6 +94,12 @@ if [[ "$FAST" == "0" ]]; then
       'BEGIN { exit !(v != "missing" && v + 0 <= 1.1) }' \
       || { echo "BM_NetworkFlows/512.wakes_per_flow=${wpf:-missing}" \
                 "(want <= 1.1)"; exit 1; }
+  fpe=$(grep -o '"BM_SimulateAgGemmMlp1.frames_per_event": [^,}]*' \
+      build-ci/BENCH_micro_sim.json | awk '{print $2}') || true
+  awk -v v="${fpe:-missing}" \
+      'BEGIN { exit !(v != "missing" && v + 0 <= 0.5) }' \
+      || { echo "BM_SimulateAgGemmMlp1.frames_per_event=${fpe:-missing}" \
+                "(want <= 0.5)"; exit 1; }
   ./build-ci/bench_fig8_mlp --json build-ci/BENCH_fig8.json
   ./build-ci/bench_fig11_e2e --tune-threads 8 \
       --json build-ci/BENCH_fig11.json \
