@@ -17,8 +17,10 @@
 //      dependencies pinned (or, in deliberately-unsafe mode, hoists
 //      acquire-loads above waits to demonstrate the §4.2 failure mode);
 //   3. codegen: a PTX-like tile-level listing (ld.global.acquire /
-//      red.release placement is asserted by tests) plus an executable
-//      interpretation of each block as a simulator coroutine.
+//      red.release placement is asserted by tests).
+// CompiledKernel::Launch then interprets the verified Stmt tree: each block
+// runs as one simulator coroutine that executes its ops inline and suspends
+// only on delays, flag waits and transfers.
 #pragma once
 
 #include <array>
