@@ -237,15 +237,15 @@ Op RecordingOp(const std::string& label, sim::TimeNs ns,
       });
 }
 
-// Runs `spec` once per rank of a 2-rank functional world and returns the
-// makespan; `events` (when set) receives the simulator's event count.
+// Launches `spec` on each rank of a 2-rank world in `mode` (4 producer/
+// consumer channels, checker on when `checker`) and returns the makespan;
+// `events` (when set) receives the simulator's event count.
 sim::TimeNs RunTwoRanks(FusedKernelSpec spec, ExecMode mode,
-                        uint64_t* events = nullptr, bool checker = false,
-                        int num_pc = 4) {
+                        uint64_t* events = nullptr, bool checker = false) {
   World world(sim::MachineSpec::Test(2, 4), mode);
   world.checker().set_enabled(checker);
   CompiledKernel kernel = Compiler().Compile(std::move(spec));
-  auto bcs = BlockChannel::CreateSymmetric(world, "interp", num_pc, 1, 1);
+  auto bcs = BlockChannel::CreateSymmetric(world, "interp", 4, 1, 1);
   const sim::TimeNs t = world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
     auto state = kernel.Launch(ctx, *ctx.stream,
                                bcs[static_cast<size_t>(ctx.rank)]);
